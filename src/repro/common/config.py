@@ -254,12 +254,6 @@ class HAccRGConfig:
     #: False every checked entry is written back (naive RDU)
     shadow_writeback_dirty_only: bool = True
 
-    # --- execution strategy (not part of the modeled hardware) -----------
-    #: use the batched shadow-word / Bloom fast path in the detector and
-    #: trace replay; results are bit-identical to the scalar path and the
-    #: field is excluded from config digests (docs/ENGINE.md)
-    fast_path: bool = field(default_factory=default_fast_path)
-
     def __post_init__(self) -> None:
         for name in ("shared_granularity", "global_granularity"):
             g = getattr(self, name)

@@ -9,7 +9,7 @@ the Table III experiment.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from repro.common.bitops import ceil_div, is_power_of_two, log2_exact
 from repro.common.errors import ConfigError
@@ -54,3 +54,23 @@ class GranularityMap:
             for e in self.entries_of_range(la.addr, la.size):
                 out.append((e, la))
         return out
+
+    def walk(self, lanes: Sequence[Any]
+             ) -> Tuple[Iterable[Tuple[int, int, Any]], bool]:
+        """The (lane index, entry, lane) checks of a warp, in lane order,
+        and whether two of them share an entry.
+
+        The common warp has every lane inside one entry; it is zipped
+        straight from the lane list. Lanes that span entries expand to one
+        check per covered entry, as in :meth:`lanes_to_entries`.
+        """
+        shift = self._shift
+        firsts = [la[1] >> shift for la in lanes]
+        lasts = [(la[1] + la[2] - 1) >> shift for la in lanes]
+        if firsts == lasts:
+            return (zip(range(len(lanes)), firsts, lanes),
+                    len(set(firsts)) < len(firsts))
+        checks = [(i, e, la)
+                  for i, (la, first, last) in enumerate(zip(lanes, firsts, lasts))
+                  for e in range(first, last + 1)]
+        return checks, len({c[1] for c in checks}) < len(checks)

@@ -22,14 +22,18 @@ three sections): same-block sync refresh -> lockset (which "has priority
 over barrier synchronizations" in critical sections) -> atomic-atomic
 exemption -> happens-before state machine with fence suppression and the
 L1-hit stale-read check.
+
+State is sparse: a dict maps each touched entry index to a ``[tid, wid,
+bid, sid, M, S, sync, fence, sig, atomic]`` list, and an absent entry is
+virgin. A table costs memory only for the entries a kernel touches, not
+for every allocated byte it covers, and the end-of-kernel invalidation is a
+``dict.clear()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.common.bitops import ceil_div
 from repro.common.config import HAccRGConfig
@@ -43,6 +47,29 @@ from repro.common.types import (
 from repro.core.clocks import RaceRegisterFile
 from repro.core.granularity import GranularityMap
 from repro.core.races import RaceLog
+from repro.core.shadow import _overlapping_write, _writes_overlap
+
+#: field indices of a global entry list
+_TID, _WID, _BID, _SID, _M, _S, _SYNC, _FENCE, _SIG, _ATOMIC = range(10)
+
+
+class GlobalEntry(NamedTuple):
+    """Snapshot of one global shadow entry."""
+
+    tid: int
+    wid: int
+    bid: int
+    sid: int
+    M: bool
+    S: bool
+    sync: int
+    fence: int
+    sig: int
+    atomic: bool
+
+
+#: the state of an entry no access has touched since the last invalidation
+VIRGIN_GLOBAL = GlobalEntry(-1, -1, -1, -1, True, True, 0, 0, 0, False)
 
 
 def global_shadow_footprint(data_bytes: int, granularity: int = 4,
@@ -55,6 +82,24 @@ def global_shadow_footprint(data_bytes: int, granularity: int = 4,
     """
     entries = ceil_div(data_bytes, granularity)
     return ceil_div(entries * entry_bits, 8)
+
+
+def stored_entry_bits(config: HAccRGConfig) -> int:
+    """Bits stored per global shadow entry in device memory.
+
+    The in-memory entry is the 28-bit basic record plus the 8-bit fence ID
+    (36 bits, the paper's Table IV configuration); atomic-ID signatures are
+    kept in the RDU-side structures for the small set of critical-section
+    lines, not in every entry.
+    """
+    return config.global_entry_bits(with_fence=True, with_atomic=False)
+
+
+def shadow_region_bytes(region_bytes: int, config: HAccRGConfig) -> int:
+    """Device bytes of the shadow region covering ``region_bytes`` of data."""
+    return global_shadow_footprint(max(1, region_bytes),
+                                   config.global_granularity,
+                                   stored_entry_bits(config))
 
 
 @dataclass
@@ -82,68 +127,36 @@ class GlobalShadowMemory:
         self.rrf = rrf
         self.regroup = config.warp_regrouping
         self.shadow_base = shadow_base  # device address of the shadow region
+        self.entry_bits = stored_entry_bits(config)
         self.stats = GlobalShadowStats()
-        # batched kernel compares owners by warp id; per-thread ownership
-        # under re-grouping keeps the scalar walk (see _check_batch)
-        self.fast_path = config.fast_path and not self.regroup
+        #: entry index -> [tid, wid, bid, sid, M, S, sync, fence, sig,
+        #: atomic]; absent means virgin
+        self.entries: Dict[int, List[Any]] = {}
 
-        n = self.n
-        self.tid = np.full(n, -1, dtype=np.int64)
-        self.wid = np.full(n, -1, dtype=np.int64)
-        self.bid = np.full(n, -1, dtype=np.int32)
-        self.sid = np.full(n, -1, dtype=np.int32)
-        self.M = np.ones(n, dtype=bool)
-        self.S = np.ones(n, dtype=bool)
-        self.sync = np.zeros(n, dtype=np.int32)
-        self.fence = np.zeros(n, dtype=np.int32)
-        self.sig = np.zeros(n, dtype=np.int64)
-        self.atomic = np.zeros(n, dtype=bool)
-        #: set by mutators during one _check_one; drives write-back traffic
-        self._dirtied = False
+    def entry_state(self, entry: int) -> GlobalEntry:
+        """The state of ``entry`` (:data:`VIRGIN_GLOBAL` if untouched)."""
+        st = self.entries.get(entry)
+        return VIRGIN_GLOBAL if st is None else GlobalEntry(*st)
 
     # ------------------------------------------------------------------
     # shadow-address arithmetic (drives the RDU's shadow traffic)
 
-    def entry_bits(self) -> int:
-        """Bits stored per shadow entry in device memory.
-
-        The in-memory entry is the 28-bit basic record plus the 8-bit
-        fence ID (36 bits, the paper's Table IV configuration); atomic-ID
-        signatures are kept in the RDU-side structures for the small set
-        of critical-section lines, not in every entry.
-        """
-        return self.config.global_entry_bits(with_fence=True,
-                                             with_atomic=False)
-
     def shadow_addr_of_entry(self, entry: int) -> int:
         """Device byte address where ``entry`` is stored (packed layout)."""
-        return self.shadow_base + (entry * self.entry_bits()) // 8
-
-    def footprint_bytes(self) -> int:
-        return ceil_div(self.n * self.entry_bits(), 8)
+        return self.shadow_base + (entry * self.entry_bits) // 8
 
     # ------------------------------------------------------------------
 
     def invalidate(self) -> None:
         """``cudaMemset`` of the shadow region at kernel end (§IV-B)."""
-        self.tid[:] = -1
-        self.wid[:] = -1
-        self.bid[:] = -1
-        self.sid[:] = -1
-        self.M[:] = True
-        self.S[:] = True
-        self.sync[:] = 0
-        self.fence[:] = 0
-        self.sig[:] = 0
-        self.atomic[:] = False
+        self.entries.clear()
 
     # ------------------------------------------------------------------
 
     def intra_warp_waw(self, access: WarpAccess) -> int:
         """Same-instruction WAW between lanes (associative request check)."""
-        if access.kind == AccessKind.READ:
+        if access.kind == AccessKind.READ or not _writes_overlap(access.lanes):
             return 0
-        from repro.core.shadow import _overlapping_write
         seen: dict = {}
         new = 0
         for entry, la in self.gmap.lanes_to_entries(access.lanes):
@@ -172,204 +185,119 @@ class GlobalShadowMemory:
         """Process one warp access; returns the distinct entries touched.
 
         The entry list is what the RDU turns into shadow-memory traffic
-        (one read-modify-write of each entry's shadow word). With the fast
-        path enabled, accesses whose lanes map to distinct single entries
-        are classified in one vectorized pass (see :meth:`_check_batch`);
-        results — races, stats, dirtied-entry lists — are bit-identical.
-        """
-        if self.fast_path and access.lanes:
-            fast = self._check_batch(access, lane_l1_hit)
-            if fast is not None:
-                return fast
-        return self._check_scalar(access, lane_l1_hit)
+        (one read-modify-write of each entry's shadow word). Only
+        *modified* entries need a write-back; re-checks that leave the
+        entry unchanged are satisfied from the RDU's copy (unless the
+        dirty-only optimization is ablated away).
 
-    def _check_scalar(self, access: WarpAccess,
-                      lane_l1_hit: Optional[Sequence[bool]] = None) -> List[int]:
-        """Reference per-(entry, lane) dispatch walk."""
-        self.intra_warp_waw(access)
-        dirty_only = self.config.shadow_writeback_dirty_only
-        dirtied: List[int] = []
-        seen = set()
-        for i, la in enumerate(access.lanes):
-            l1_hit = bool(lane_l1_hit[i]) if lane_l1_hit is not None else False
-            for entry in self.gmap.entries_of_range(la.addr, la.size):
-                self._dirtied = False
-                self._check_one(entry, la, access, l1_hit)
-                if (self._dirtied or not dirty_only) and entry not in seen:
-                    seen.add(entry)
-                    dirtied.append(entry)
-        # only *modified* entries need a shadow write-back; re-checks that
-        # leave the entry unchanged are satisfied from the RDU's copy
-        # (unless the dirty-only optimization is ablated away)
-        return dirtied
-
-    # ------------------------------------------------------------------
-    # batched fast path
-
-    def _check_batch(self, access: WarpAccess,
-                     lane_l1_hit: Optional[Sequence[bool]]
-                     ) -> Optional[List[int]]:
-        """Vectorized warp check; None when preconditions are unmet.
-
-        Preconditions: uniform lane kind matching the warp kind, every
-        lane covered by exactly one shadow entry, and all entries distinct
-        within the access. Distinct entries make every (entry, lane) check
-        independent — the scalar walk's sequential entry mutations cannot
-        interact — so lanes are classified by pre-access entry state in
-        one pass. The dispatch classes that can report a race or consult
-        the race register file (lockset path, cross-warp HB conflicts)
-        fall back to the scalar :meth:`_check_one` in lane order,
-        preserving report order, trip counts and stats exactly.
+        Virgin and sync-refresh entries and the happens-before transitions
+        that cannot report are handled inline; the lockset path, the
+        atomic exemption and cross-owner conflicts go through
+        :meth:`_check_one`.
         """
         lanes = access.lanes
-        cols = list(zip(*lanes))
-        lane_col, addr_col, size_col, kind_col, sig_col, crit_col = cols
-        if any(k != access.kind for k in kind_col):
-            return None
-        addrs = np.array(addr_col, dtype=np.int64)
-        shift = self.gmap._shift
-        entries = addrs >> shift
-        if len(set(size_col)) == 1:
-            last = (addrs + (size_col[0] - 1)) >> shift
-        else:
-            last = (addrs + (np.array(size_col, dtype=np.int64) - 1)) >> shift
-        if bool(np.any(entries != last)):
-            return None
-        if len(np.unique(entries)) != len(entries):
-            return None
-        # distinct entries: the associative same-instruction WAW check can
-        # never pair two lanes, so intra_warp_waw is a provable no-op
-
+        checks, shares_entry = self.gmap.walk(lanes)
+        if shares_entry and access.kind != AccessKind.READ:
+            # lanes on distinct entries cannot overlap
+            self.intra_warp_waw(access)
         cfg = self.config
-        n_lanes = len(lanes)
-        is_write = access.kind != AccessKind.READ
-        is_atomic = access.kind == AccessKind.ATOMIC
+        dirty_only = cfg.shadow_writeback_dirty_only
+        if not dirty_only:
+            checks = list(checks)
+        entries = self.entries
+        regroup = self.regroup
+        own = _TID if regroup else _WID
         wid = access.warp_id
+        bid = access.block_id
+        sid = access.sm_id
+        base = access.base_tid
         cur_sync = access.sync_id & cfg.sync_id_mask
         cur_fence = access.fence_id & cfg.fence_id_mask
-        tids = np.array(lane_col, dtype=np.int64) + access.base_tid
-        crit = np.array(crit_col, dtype=bool)
-
-        m = self.M[entries]
-        s = self.S[entries]
-        bid_eq = self.bid[entries] == access.block_id
-        wid_eq = self.wid[entries] == wid
-        sig_nz = self.sig[entries] != 0
-        atomic_e = self.atomic[entries]
-
-        # dispatch cascade on pre-access state (mirrors _check_one)
-        virgin = m & s
-        rem = ~virgin
-        refresh = rem & bid_eq & (self.sync[entries] != cur_sync)
-        rem &= ~refresh
-        lockset = rem & (crit | sig_nz)
-        rem &= ~lockset
-        if is_atomic:
-            atomic_ex = rem & atomic_e
-            rem &= ~atomic_ex
-        else:
-            atomic_ex = np.zeros(n_lanes, dtype=bool)
-        state3 = rem & m
-        s3_same = state3 & wid_eq
-        s3_diff = state3 & ~wid_eq
-        state2 = rem & ~m & ~s
-        state4 = rem & ~m & s
-
-        if is_write:
-            fallback = lockset | s3_diff | (state2 & ~wid_eq) | state4
-        else:
-            fallback = lockset | s3_diff
-
-        dirty = np.zeros(n_lanes, dtype=bool)
-
-        # -- vectorized transitions ------------------------------------
-        init_mask = virgin | refresh | atomic_ex
-        if is_write:
-            init_mask |= state2 & wid_eq
-        if bool(init_mask.any()):
-            e = entries[init_mask]
-            self.tid[e] = tids[init_mask]
-            self.wid[e] = wid
-            self.bid[e] = access.block_id
-            self.sid[e] = access.sm_id
-            self.M[e] = is_write
-            self.S[e] = False
-            self.sync[e] = cur_sync
-            self.fence[e] = cur_fence
-            self.sig[e] = np.where(crit[init_mask],
-                                   np.array(sig_col, dtype=np.int64)[init_mask],
-                                   0)
-            self.atomic[e] = is_atomic
-            dirty |= init_mask
-        if is_write and bool(s3_same.any()):
-            # same-owner over-write: latest writer, refreshed fence epoch
-            e = entries[s3_same]
-            self.tid[e] = tids[s3_same]
-            self.fence[e] = cur_fence
-            self.atomic[e] = is_atomic
-            dirty |= s3_same
-        if not is_write:
-            other_reader = state2 & (~wid_eq | ~bid_eq)
-            if bool(other_reader.any()):
-                self.S[entries[other_reader]] = True
-                dirty |= other_reader
-        # s3_same reads, same-warp state-2 reads and state-4 reads are
-        # no-ops in the scalar walk: nothing to do, nothing dirtied
-
-        # -- stats (fallback lanes count inside _check_one) -------------
-        n_fallback = int(fallback.sum())
-        self.stats.checks += n_lanes - n_fallback
-        self.stats.sync_refreshes += int(refresh.sum())
-        if is_atomic:
-            self.stats.atomic_exemptions += int(atomic_ex.sum())
-
-        # -- scalar fallback in lane order ------------------------------
-        if n_fallback:
-            for i in np.nonzero(fallback)[0].tolist():
-                la = lanes[i]
-                l1_hit = bool(lane_l1_hit[i]) if lane_l1_hit is not None else False
-                self._dirtied = False
-                self._check_one(int(entries[i]), la, access, l1_hit)
-                if self._dirtied:
-                    dirty[i] = True
-
-        dirty_only = self.config.shadow_writeback_dirty_only
-        entry_list = entries.tolist()
+        read = AccessKind.READ
+        atomic = AccessKind.ATOMIC
+        dirtied: List[int] = []
+        n_checks = 0
+        refreshes = 0
+        for i, entry, la in checks:
+            n_checks += 1
+            kind = la[3]
+            tid = base + la[0]
+            st = entries.get(entry)
+            if st is None or (st[_BID] == bid and st[_SYNC] != cur_sync):
+                # virgin, or a barrier separates the stored and current
+                # accesses of one block (§IV-B): (re)initialize
+                if st is not None:
+                    refreshes += 1
+                entries[entry] = [tid, wid, bid, sid, kind != read, False,
+                                  cur_sync, cur_fence,
+                                  la[4] if la[5] else 0, kind == atomic]
+                dirtied.append(entry)
+                continue
+            if not (la[5] or st[_SIG] or (kind == atomic and st[_ATOMIC])):
+                same = st[own] == (tid if regroup else wid)
+                if st[_M]:
+                    if same:  # state 3, same owner
+                        if kind != read:
+                            st[_TID] = tid
+                            st[_FENCE] = cur_fence
+                            st[_ATOMIC] = kind == atomic
+                            dirtied.append(entry)
+                        continue
+                elif kind == read:  # state 2 or 4 read
+                    if not st[_S] and (not same or st[_BID] != bid):
+                        st[_S] = True
+                        dirtied.append(entry)
+                    continue
+                elif same and not st[_S]:  # state 2, same-owner write
+                    entries[entry] = [tid, wid, bid, sid, True, False,
+                                      cur_sync, cur_fence, 0, kind == atomic]
+                    dirtied.append(entry)
+                    continue
+            l1_hit = bool(lane_l1_hit[i]) if lane_l1_hit is not None else False
+            if self._check_one(entry, st, la, access, l1_hit):
+                dirtied.append(entry)
+        stats = self.stats
+        stats.checks += n_checks
+        stats.sync_refreshes += refreshes
         if not dirty_only:
-            return entry_list
-        flags = dirty.tolist()
-        return [e for e, d in zip(entry_list, flags) if d]
+            return list(dict.fromkeys(c[1] for c in checks))
+        return list(dict.fromkeys(dirtied)) if shares_entry else dirtied
 
     # ------------------------------------------------------------------
 
-    def _same_owner(self, entry: int, tid: int, wid: int) -> bool:
+    def _same_owner(self, st: List[Any], tid: int, wid: int) -> bool:
+        """Owner comparison: by warp normally, by thread under re-grouping."""
         if self.regroup:
-            return self.tid[entry] == tid
-        return self.wid[entry] == wid
+            return bool(st[_TID] == tid)
+        return bool(st[_WID] == wid)
+
+    def _drop_if_virgin(self, entry: int, st: List[Any]) -> None:
+        """A write that sets M on a multi-reader entry (S=1) leaves the
+        virgin encoding ``M=1, S=1``: the next access re-initializes it,
+        so the entry is dropped."""
+        if st[_S]:
+            del self.entries[entry]
 
     def _init_entry(self, entry: int, la: Any, access: WarpAccess,
                     is_write: bool) -> None:
         """Set an entry from a first (or epoch-refreshing) access."""
-        self._dirtied = True
-        self.tid[entry] = access.thread_id(la.lane)
-        self.wid[entry] = access.warp_id
-        self.bid[entry] = access.block_id
-        self.sid[entry] = access.sm_id
-        self.M[entry] = is_write
-        self.S[entry] = False
-        self.sync[entry] = access.sync_id & self.config.sync_id_mask
-        self.fence[entry] = access.fence_id & self.config.fence_id_mask
-        self.sig[entry] = la.sig if la.critical else 0
-        self.atomic[entry] = la.kind == AccessKind.ATOMIC
+        self.entries[entry] = [
+            access.thread_id(la.lane), access.warp_id, access.block_id,
+            access.sm_id, is_write, False,
+            access.sync_id & self.config.sync_id_mask,
+            access.fence_id & self.config.fence_id_mask,
+            la.sig if la.critical else 0,
+            la.kind == AccessKind.ATOMIC,
+        ]
 
-    def _report(self, entry: int, la: Any, access: WarpAccess,
-                kind: RaceKind,
+    def _report(self, entry: int, st: List[Any], la: Any,
+                access: WarpAccess, kind: RaceKind,
                 category: RaceCategory, stale_l1: bool = False) -> None:
         self.log.trip(
             category, kind, MemSpace.GLOBAL, entry, la.addr,
-            owner_tid=int(self.tid[entry]),
+            owner_tid=st[_TID],
             access_tid=access.thread_id(la.lane),
-            owner_block=int(self.bid[entry]),
+            owner_block=st[_BID],
             access_block=access.block_id,
             pc=access.pc,
             stale_l1=stale_l1,
@@ -377,169 +305,150 @@ class GlobalShadowMemory:
         if stale_l1:
             self.stats.stale_l1_reports += 1
 
-    def _check_one(self, entry: int, la: Any, access: WarpAccess,
-                   l1_hit: bool) -> None:
-        self.stats.checks += 1
-        cfg = self.config
+    def _check_one(self, entry: int, st: List[Any], la: Any,
+                   access: WarpAccess, l1_hit: bool) -> bool:
+        """Dispatch past the virgin and sync-refresh steps; returns whether
+        the entry was modified."""
         is_write = la.kind != AccessKind.READ
         is_atomic = la.kind == AccessKind.ATOMIC
         tid = access.thread_id(la.lane)
         wid = access.warp_id
 
-        # -- virgin entry --------------------------------------------------
-        if self.M[entry] and self.S[entry]:
-            self._init_entry(entry, la, access, is_write)
-            return
-
-        # -- same-block sync-ID refresh (§IV-B) -----------------------------
-        cur_sync = access.sync_id & cfg.sync_id_mask
-        if (self.bid[entry] == access.block_id
-                and self.sync[entry] != cur_sync):
-            # a barrier separates the stored and current accesses
-            self.stats.sync_refreshes += 1
-            self._init_entry(entry, la, access, is_write)
-            return
-
         # -- lockset path (priority inside critical sections, §III-B) -------
-        entry_sig = int(self.sig[entry])
+        entry_sig = st[_SIG]
         if la.critical or entry_sig != 0:
             self.stats.lockset_checks += 1
-            self._lockset_check(entry, la, access, tid, wid,
-                                is_write, entry_sig)
-            return
+            return self._lockset_check(entry, st, la, access, tid, wid,
+                                       is_write, entry_sig)
 
         # -- atomic-atomic exemption ----------------------------------------
-        if is_atomic and self.atomic[entry]:
+        if is_atomic and st[_ATOMIC]:
             self.stats.atomic_exemptions += 1
             # serialized RMW chain: latest atomic becomes the owner
             self._init_entry(entry, la, access, True)
-            return
+            return True
 
         # -- happens-before state machine ------------------------------------
-        same_block = self.bid[entry] == access.block_id
-        category = (RaceCategory.GLOBAL_BARRIER if same_block
-                    else RaceCategory.GLOBAL_FENCE)
+        same_block = st[_BID] == access.block_id
 
-        if self.M[entry]:  # owner has written (state 3, since S=0 with M=1)
-            if self._same_owner(entry, tid, wid):
-                if is_write:
-                    self._dirtied = True
-                    self.tid[entry] = tid
-                    self.fence[entry] = access.fence_id & cfg.fence_id_mask
-                    self.atomic[entry] = is_atomic
-                return
+        if st[_M]:  # owner has written (state 3, since S=0 with M=1)
+            if self._same_owner(st, tid, wid):
+                if not is_write:
+                    return False
+                st[_TID] = tid
+                st[_FENCE] = access.fence_id & self.config.fence_id_mask
+                st[_ATOMIC] = is_atomic
+                return True
             if not is_write:
                 # RAW candidate: stale-L1 coherence check first (§IV-B)
                 if (self.config.stale_l1_check_enabled and l1_hit
-                        and self.sid[entry] != access.sm_id):
-                    self._report(entry, la, access, RaceKind.RAW,
+                        and st[_SID] != access.sm_id):
+                    self._report(entry, st, la, access, RaceKind.RAW,
                                  RaceCategory.GLOBAL_FENCE, stale_l1=True)
-                    return
+                    return False
                 # fence suppression: owner fenced since its write => safe
                 if self.config.fence_check_enabled:
-                    owner_now = self.rrf.current_fence(int(self.wid[entry]))
-                    if owner_now != self.fence[entry]:
+                    owner_now = self.rrf.current_fence(st[_WID])
+                    if owner_now != st[_FENCE]:
                         self.stats.fence_suppressed += 1
-                        return
-                self._report(entry, la, access, RaceKind.RAW, category)
-                return
+                        return False
+                self._report(entry, st, la, access, RaceKind.RAW,
+                             RaceCategory.GLOBAL_BARRIER if same_block
+                             else RaceCategory.GLOBAL_FENCE)
+                return False
             # cross-warp write over a write
-            self._report(entry, la, access, RaceKind.WAW,
-                         RaceCategory.GLOBAL_BARRIER if same_block
-                         else RaceCategory.GLOBAL_BARRIER)
-            self._init_entry(entry, la, access, True)
-            return
-
-        if not self.S[entry]:  # state 2: single reader
-            if not is_write:
-                if not self._same_owner(entry, tid, wid) \
-                        or self.bid[entry] != access.block_id:
-                    self._dirtied = True
-                    self.S[entry] = True
-                return
-            if self._same_owner(entry, tid, wid):
-                self._init_entry(entry, la, access, True)
-                return
-            self._report(entry, la, access, RaceKind.WAR,
+            self._report(entry, st, la, access, RaceKind.WAW,
                          RaceCategory.GLOBAL_BARRIER)
             self._init_entry(entry, la, access, True)
-            return
+            return True
+
+        if not st[_S]:  # state 2: single reader
+            if not is_write:
+                if not self._same_owner(st, tid, wid) or not same_block:
+                    st[_S] = True
+                    return True
+                return False
+            if self._same_owner(st, tid, wid):
+                self._init_entry(entry, la, access, True)
+                return True
+            self._report(entry, st, la, access, RaceKind.WAR,
+                         RaceCategory.GLOBAL_BARRIER)
+            self._init_entry(entry, la, access, True)
+            return True
 
         # state 4: read by multiple warps/blocks
         if not is_write:
-            return
-        self._report(entry, la, access, RaceKind.WAR,
+            return False
+        self._report(entry, st, la, access, RaceKind.WAR,
                      RaceCategory.GLOBAL_BARRIER)
         self._init_entry(entry, la, access, True)
+        return True
 
     # ------------------------------------------------------------------
 
-    def _lockset_check(self, entry: int, la: Any, access: WarpAccess,
-                       tid: int, wid: int, is_write: bool,
-                       entry_sig: int) -> None:
-        """§III-B: different-lock and protected/unprotected mixing rules."""
+    def _lockset_check(self, entry: int, st: List[Any], la: Any,
+                       access: WarpAccess, tid: int, wid: int,
+                       is_write: bool, entry_sig: int) -> bool:
+        """§III-B: different-lock and protected/unprotected mixing rules;
+        returns whether the entry was modified."""
         cur_sig = la.sig if la.critical else 0
-        conflict = bool(self.M[entry]) or is_write
+        m = st[_M]
+        conflict = m or is_write
 
-        if self._same_owner(entry, tid, wid):
+        if self._same_owner(st, tid, wid):
             # a thread (warp) cannot race with itself; fold in its lockset
             new_sig = entry_sig & cur_sig if entry_sig else cur_sig
-            if new_sig != entry_sig:
-                self._dirtied = True
-            self.sig[entry] = new_sig
+            st[_SIG] = new_sig
             if is_write:
-                self._dirtied = True
-                self.M[entry] = True
-                self.tid[entry] = tid
-                self.atomic[entry] = la.kind == AccessKind.ATOMIC
-            return
+                st[_M] = True
+                st[_TID] = tid
+                st[_ATOMIC] = la.kind == AccessKind.ATOMIC
+                self._drop_if_virgin(entry, st)
+                return True
+            return bool(new_sig != entry_sig)
 
         if entry_sig != 0 and cur_sig != 0:
             inter = entry_sig & cur_sig
             if inter == 0 and conflict:
-                self._report(entry, la, access,
-                             RaceKind.WAW if (self.M[entry] and is_write)
-                             else (RaceKind.RAW if self.M[entry]
-                                   else RaceKind.WAR),
+                self._report(entry, st, la, access,
+                             RaceKind.WAW if (m and is_write)
+                             else (RaceKind.RAW if m else RaceKind.WAR),
                              RaceCategory.GLOBAL_LOCKSET)
-                self._init_entry(entry, la, access, is_write or bool(self.M[entry]))
-                return
+                self._init_entry(entry, la, access, is_write or m)
+                return True
             # common lock held — but a critical-section read of another
             # warp's write still needs the producer to have fenced before
             # releasing the lock (Fig. 2(b)): the lock hand-off does not
             # order the data write on a non-coherent memory system
             if (self.config.fence_check_enabled
-                    and not is_write and self.M[entry]
-                    and self.rrf.current_fence(int(self.wid[entry]))
-                    == self.fence[entry]):
-                self._report(entry, la, access, RaceKind.RAW,
+                    and not is_write and m
+                    and self.rrf.current_fence(st[_WID]) == st[_FENCE]):
+                self._report(entry, st, la, access, RaceKind.RAW,
                              RaceCategory.GLOBAL_FENCE)
-                return
+                return False
             # store the lockset intersection
-            if inter != entry_sig:
-                self._dirtied = True
-            self.sig[entry] = inter
+            st[_SIG] = inter
             if is_write:
-                self._dirtied = True
-                self.M[entry] = True
-                self.tid[entry] = tid
-                self.wid[entry] = access.warp_id
-                self.fence[entry] = access.fence_id & self.config.fence_id_mask
-            elif not self._same_owner(entry, tid, wid):
-                self.S[entry] = bool(self.S[entry]) and not self.M[entry]
-            return
+                st[_M] = True
+                st[_TID] = tid
+                st[_WID] = access.warp_id
+                st[_FENCE] = access.fence_id & self.config.fence_id_mask
+                self._drop_if_virgin(entry, st)
+                return True
+            # another owner's read: a written entry stays unshared
+            st[_S] = st[_S] and not m
+            return bool(inter != entry_sig)
 
         # protected/unprotected mixing
         if conflict:
-            self._report(entry, la, access,
-                         RaceKind.WAW if (self.M[entry] and is_write)
-                         else (RaceKind.RAW if self.M[entry]
-                               else RaceKind.WAR),
+            self._report(entry, st, la, access,
+                         RaceKind.WAW if (m and is_write)
+                         else (RaceKind.RAW if m else RaceKind.WAR),
                          RaceCategory.GLOBAL_LOCKSET)
-            self._init_entry(entry, la, access, is_write or bool(self.M[entry]))
-            return
+            self._init_entry(entry, la, access, is_write or m)
+            return True
         # read-read across protection domains: drop to unprotected
-        if self.sig[entry] != 0 or not self.S[entry]:
-            self._dirtied = True
-        self.sig[entry] = 0
-        self.S[entry] = True
+        dirty = entry_sig != 0 or not st[_S]
+        st[_SIG] = 0
+        st[_S] = True
+        return bool(dirty)

@@ -78,10 +78,6 @@ def _config_record(cfg: HAccRGConfig) -> Dict[str, Any]:
     import enum
     out: Dict[str, Any] = {}
     for f in dataclasses.fields(cfg):
-        if f.name == "fast_path":
-            # execution strategy, not detector semantics: verdicts are
-            # bit-identical either way, so the digest must not depend on it
-            continue
         value = getattr(cfg, f.name)
         out[f.name] = value.name if isinstance(value, enum.Enum) else value
     return out

@@ -216,7 +216,7 @@ class TestLockset:
                    critical=True))
         assert len(log) == 0
         entry = 0
-        assert g.sig[entry] == self._sig(1)  # intersection stored
+        assert g.entry_state(entry).sig == self._sig(1)  # intersection stored
 
     def test_missing_fence_in_critical_section_races(self):
         """Fig. 2(b): common lock but producer never fenced before
@@ -250,6 +250,6 @@ class TestFootprint:
         g, log, _ = make()
         g.check(wa(0, W))
         g.invalidate()
-        assert g.M.all() and g.S.all()
+        assert all(s.M and s.S for s in map(g.entry_state, range(g.n)))
         g.check(wa(0, R, warp_id=1, tid_base=32))
         assert len(log) == 0

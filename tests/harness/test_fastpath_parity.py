@@ -28,8 +28,7 @@ def _run(name: str, mode: str, fast: bool):
     det = None
     if mode != "OFF":
         det = HAccRGConfig(mode=DetectionMode[mode],
-                           shared_granularity=4, global_granularity=4,
-                           fast_path=fast)
+                           shared_granularity=4, global_granularity=4)
     return run_benchmark_direct(name, det, gpu, scale=SCALE,
                                 timing_enabled=True)
 

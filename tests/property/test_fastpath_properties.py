@@ -1,20 +1,17 @@
-"""Batched fast-path kernels must be bit-identical to their scalar twins.
+"""Production kernels must be bit-identical to their scalar references.
 
-Every vectorized kernel the warp-batch fast path introduces — batched
-shared/global shadow checks, Bloom-signature batch operations, the
-warp-batch coalescer, and the batched bank-conflict counter — is run here
-against its scalar reference on randomized inputs. The full-system
-equivalent (whole benchmarks, fast path on vs off) is
-``tests/harness/test_fastpath_parity.py``; these properties localize a
-divergence to the specific kernel that caused it.
+The sparse per-lane shadow kernels are run against the dense reference
+walks in ``tests/reference/shadow_ref.py``, and the warp-batch coalescer
+and batched bank-conflict counter against their scalar twins, on
+randomized inputs. The full-system equivalent (whole benchmarks, fast path
+on vs off) is ``tests/harness/test_fastpath_parity.py``; these properties
+localize a divergence to the specific kernel that caused it.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import DetectionMode, GPUConfig, HAccRGConfig
 from repro.common.types import AccessKind, LaneAccess, MemSpace, WarpAccess
-from repro.core.bloom import BloomSignature
 from repro.core.clocks import RaceRegisterFile
 from repro.core.races import RaceLog
 from repro.core.shadow import SharedShadowTable
@@ -22,10 +19,18 @@ from repro.core.shadow_memory import GlobalShadowMemory
 from repro.gpu.coalescer import coalesce
 from repro.gpu.shared_memory import SharedMemoryModel
 from repro.gpu.timing import TimingModel, coalesce_fast
+from tests.reference.shadow_ref import (
+    RefGlobalShadowMemory,
+    RefSharedShadowTable,
+)
 
 KINDS = (AccessKind.READ, AccessKind.WRITE, AccessKind.ATOMIC)
+REGION = 64 * 4
 
-#: one warp access: (warp, kind index, [(lane, slot)], sig, critical)
+#: one warp access: (warp, kind index, [(lane, slot)], sig, critical,
+#: lane bytes, fence after, per-lane L1 hits). 8-byte lanes on 4-byte
+#: slots straddle entries at granularity 4; at granularity 16 four slots
+#: share an entry, so write warps trip the intra-warp WAW check.
 access_specs = st.lists(
     st.tuples(
         st.integers(0, 3),
@@ -34,101 +39,85 @@ access_specs = st.lists(
                  min_size=1, max_size=8, unique_by=lambda t: t[0]),
         st.integers(0, 3),
         st.booleans(),
+        st.sampled_from([4, 8]),
+        st.booleans(),
+        st.lists(st.booleans(), min_size=8, max_size=8),
     ),
     min_size=1, max_size=25,
 )
 
 
-def _warp_access(spec, space):
-    warp, kind_i, lane_slots, sig, critical = spec
+def _warp_access(spec, space, sync_id=0, fence_id=0):
+    warp, kind_i, lane_slots, sig, critical, size = spec[:6]
     kind = KINDS[kind_i]
-    lanes = [LaneAccess(lane, slot * 4, 4, kind, sig, critical)
+    lanes = [LaneAccess(lane, slot * 4, size, kind, sig, critical)
              for lane, slot in sorted(lane_slots)]
+    # warps 0-1 form block 0 on SM 0, warps 2-3 block 1 on SM 1
     return WarpAccess(space=space, kind=kind, lanes=lanes,
-                      sm_id=0, block_id=0, warp_id=warp,
-                      warp_in_block=warp, base_tid=warp * 32)
+                      sm_id=warp // 2, block_id=warp // 2, warp_id=warp,
+                      warp_in_block=warp % 2, base_tid=warp * 32,
+                      sync_id=sync_id, fence_id=fence_id)
 
 
-class TestSharedShadowBatch:
-    @given(access_specs, st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_batch_matches_scalar(self, specs, barrier_mid):
-        """Same access stream, fast on vs off: same races, same state."""
-        logs = {}
-        tables = {}
-        for fp in (True, False):
-            log = RaceLog()
-            table = SharedShadowTable(64 * 4, 4, log, fast_path=fp)
-            for i, spec in enumerate(specs):
-                if barrier_mid and i == len(specs) // 2:
-                    table.barrier_reset()
-                new = table.check(_warp_access(spec, MemSpace.SHARED))
-                assert new >= 0
-            logs[fp], tables[fp] = log, table
-        assert logs[True] == logs[False]
-        for field in ("tid", "wid", "M", "S"):
-            assert np.array_equal(getattr(tables[True], field),
-                                  getattr(tables[False], field)), field
-
-
-class TestGlobalShadowBatch:
-    @given(access_specs, st.integers(0, 3))
-    @settings(max_examples=120, deadline=None)
-    def test_batch_matches_scalar(self, specs, sync_bumps):
-        logs = {}
-        shadows = {}
-        for fp in (True, False):
-            log = RaceLog()
-            rrf = RaceRegisterFile(8)
-            cfg = HAccRGConfig(mode=DetectionMode.GLOBAL,
-                               global_granularity=4, fast_path=fp)
-            g = GlobalShadowMemory(64 * 4, cfg, log, rrf)
-            sync = 0
-            for i, spec in enumerate(specs):
-                if sync_bumps and i % (len(specs) // sync_bumps + 1) == 0:
-                    sync += 1
-                acc = _warp_access(spec, MemSpace.GLOBAL)
-                acc.sync_id = sync
-                entries = g.check(acc)
-                assert len(entries) == len(set(entries))
-            logs[fp], shadows[fp] = log, g
-        assert logs[True] == logs[False]
-        for field in ("tid", "wid", "bid", "sid", "M", "S",
-                      "sync", "fence", "sig", "atomic"):
-            assert np.array_equal(getattr(shadows[True], field),
-                                  getattr(shadows[False], field)), field
-
-
-class TestBloomBatch:
-    @given(st.integers(0, 2),
-           st.lists(st.integers(0, 4095).map(lambda a: a * 4),
-                    min_size=0, max_size=16))
+class TestSharedShadowKernel:
+    @given(access_specs, st.booleans(), st.sampled_from([4, 16]),
+           st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_insert_many_matches_scalar_fold(self, geo, lock_addrs):
-        sig = BloomSignature(sig_bits=16, bins=(2, 4, 8)[geo])
-        scalar = 0
-        for a in lock_addrs:
-            scalar = sig.insert(scalar, a)
-        batched = sig.insert_many(0, np.array(lock_addrs, dtype=np.int64))
-        assert batched == scalar
+    def test_kernel_matches_reference(self, specs, barrier_mid,
+                                      granularity, regroup):
+        """Same access stream into both: same races, same state."""
+        log, ref_log = RaceLog(), RaceLog()
+        table = SharedShadowTable(REGION, granularity, log, regroup=regroup)
+        ref = RefSharedShadowTable(REGION, granularity, ref_log,
+                                   regroup=regroup)
+        for i, spec in enumerate(specs):
+            if barrier_mid and i == len(specs) // 2:
+                assert table.barrier_reset() == ref.barrier_reset()
+            acc = _warp_access(spec, MemSpace.SHARED)
+            assert table.check(acc) == ref.check(acc)
+        assert log == ref_log
+        assert [table.entry_state(e) for e in range(table.n)] == \
+            [ref.entry_state(e) for e in range(ref.n)]
 
-    @given(st.integers(0, 2),
-           st.lists(st.lists(st.integers(0, 4095).map(lambda a: a * 4),
-                             min_size=0, max_size=4),
-                    min_size=1, max_size=8),
-           st.lists(st.integers(0, 4095).map(lambda a: a * 4),
-                    min_size=0, max_size=4))
+
+class TestGlobalShadowKernel:
+    @given(access_specs, st.integers(0, 3), st.sampled_from([4, 16]),
+           st.booleans(), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_may_share_lock_many_matches_scalar(self, geo, lane_locks,
-                                                other_locks):
-        sig = BloomSignature(sig_bits=16, bins=(2, 4, 8)[geo])
-        other = sig.insert_many(0, np.array(other_locks, dtype=np.int64))
-        sigs = [sig.insert_many(0, np.array(locks, dtype=np.int64))
-                for locks in lane_locks]
-        batched = sig.may_share_lock_many(
-            np.array(sigs, dtype=np.int64), other)
-        scalar = [sig.may_share_lock(s, other) for s in sigs]
-        assert list(batched) == scalar
+    def test_kernel_matches_reference(self, specs, sync_bumps, granularity,
+                                      regroup, dirty_only):
+        log, ref_log = RaceLog(), RaceLog()
+        rrf, ref_rrf = RaceRegisterFile(8), RaceRegisterFile(8)
+        cfg = HAccRGConfig(mode=DetectionMode.GLOBAL,
+                           global_granularity=granularity,
+                           warp_regrouping=regroup,
+                           shadow_writeback_dirty_only=dirty_only)
+        g = GlobalShadowMemory(REGION, cfg, log, rrf)
+        ref = RefGlobalShadowMemory(REGION, cfg, ref_log, ref_rrf)
+        sync = 0
+        fences = [0, 0, 0, 0]
+        for i, spec in enumerate(specs):
+            if sync_bumps and i % (len(specs) // sync_bumps + 1) == 0:
+                sync += 1
+            warp, fence_after, hits = spec[0], spec[6], spec[7]
+            acc = _warp_access(spec, MemSpace.GLOBAL, sync_id=sync,
+                               fence_id=fences[warp])
+            hits = hits[:len(acc.lanes)]
+            entries = g.check(acc, lane_l1_hit=hits)
+            assert entries == ref.check(acc, lane_l1_hit=hits)
+            assert len(entries) == len(set(entries))
+            if fence_after:
+                fences[warp] += 1
+                rrf.on_fence(warp, fences[warp])
+                ref_rrf.on_fence(warp, fences[warp])
+        assert log == ref_log
+        assert g.stats == ref.stats
+        assert [g.entry_state(e) for e in range(g.n)] == \
+            [ref.entry_state(e) for e in range(ref.n)]
+        g.invalidate()
+        ref.invalidate()
+        assert [g.entry_state(e) for e in range(g.n)] == \
+            [ref.entry_state(e) for e in range(ref.n)]
 
 
 class TestTimingBatch:

@@ -63,7 +63,7 @@ class TestBarrierSoundness:
             t.check(wa(warp, slot, is_write))
         t.barrier_reset()
         t.barrier_reset()
-        assert t.M.all() and t.S.all()
+        assert all(s.M and s.S for s in map(t.entry_state, range(t.n)))
 
 
 class TestDetectionCompleteness:

@@ -37,7 +37,7 @@ def _run_sig(seed, mode, sm_workers, fast_path):
     program = generate_program(seed)
     run = run_program(
         program,
-        HAccRGConfig(mode=mode, fast_path=fast_path),
+        HAccRGConfig(mode=mode),
         gpu_config=scaled_gpu_config(sm_workers=sm_workers,
                                      fast_path=fast_path))
     return _log_sig(run.races)
