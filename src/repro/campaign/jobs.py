@@ -55,10 +55,6 @@ def _config_record(cfg) -> Dict[str, Any]:
     """A frozen config dataclass as a plain dict (enums by name)."""
     out: Dict[str, Any] = {}
     for f in dataclasses.fields(cfg):
-        if f.name in ("fast_path", "sm_workers", "epoch_cycles"):
-            # execution strategy, bit-identical results: cache keys and
-            # job digests must not fork on it
-            continue
         value = getattr(cfg, f.name)
         out[f.name] = value.name if isinstance(value, enum.Enum) else value
     return out

@@ -10,45 +10,11 @@ Bloom atomic IDs).
 from __future__ import annotations
 
 import enum
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict
 
 from repro.common.bitops import is_power_of_two
 from repro.common.errors import ConfigError
-
-
-def default_fast_path() -> bool:
-    """Default for ``fast_path`` config fields: on unless ``REPRO_FAST_PATH``
-    is set to a false-y string (``0``/``false``/``no``/``off``).
-
-    The environment hook exists so CI can run the same test suite twice —
-    vectorized and scalar — without threading a flag through every
-    entry point. The fast path is an execution strategy, not a semantic
-    knob: results must be bit-identical either way.
-    """
-    value = os.environ.get("REPRO_FAST_PATH")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "no", "off")
-
-
-def default_sm_workers() -> int:
-    """Default for ``sm_workers``: 0 (inline) unless ``REPRO_SM_WORKERS``
-    names a positive worker count.
-
-    Like ``REPRO_FAST_PATH``, this is an execution-strategy hook so CI can
-    run the whole suite sharded without threading a flag through every
-    entry point. Sharded results are bit-identical to inline results, so
-    the field is excluded from campaign config digests.
-    """
-    value = os.environ.get("REPRO_SM_WORKERS")
-    if value is None:
-        return 0
-    try:
-        return max(0, int(value.strip()))
-    except ValueError:
-        return 0
 
 
 class DetectionMode(enum.IntEnum):
@@ -123,17 +89,6 @@ class GPUConfig:
     icnt_latency: int = 12              # SM <-> memory slice hop latency
     icnt_extra_flit_id_bits: int = 32   # sync+fence+atomic ID payload bits
 
-    # --- execution strategy (not hardware) ---------------------------------
-    #: use the vectorized warp-batch decode/coalesce/conflict fast path;
-    #: results are bit-identical to the scalar path (docs/ENGINE.md)
-    fast_path: bool = field(default_factory=default_fast_path)
-    #: shard the SM array across this many worker processes (0 = inline);
-    #: results are bit-identical to the inline path (docs/ENGINE.md,
-    #: "Epochs and sharding")
-    sm_workers: int = field(default_factory=default_sm_workers)
-    #: epoch window (cycles) bounding shard run-ahead between merge flushes
-    epoch_cycles: int = 2048
-
     def __post_init__(self) -> None:
         for name in ("simd_width", "warp_size", "l1d_line", "l2_line",
                      "shared_mem_banks", "flit_size"):
@@ -145,10 +100,8 @@ class GPUConfig:
             raise ConfigError("num_sms must be divisible by num_clusters")
         if self.max_threads_per_sm % self.warp_size:
             raise ConfigError("max_threads_per_sm must be a multiple of warp_size")
-        if self.sm_workers < 0:
-            raise ConfigError("sm_workers must be >= 0")
-        if self.epoch_cycles < 1:
-            raise ConfigError("epoch_cycles must be >= 1")
+        if self.shared_bank_width < 1:
+            raise ConfigError("shared_bank_width must be >= 1")
 
     @property
     def warps_per_sm(self) -> int:

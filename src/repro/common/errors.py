@@ -30,28 +30,3 @@ class TraceFormatError(ReproError, ValueError):
 
 class DeadlockError(SimulationError):
     """No warp can make progress (e.g. divergent barrier within a block)."""
-
-
-class ShardError(SimulationError):
-    """Base class for epoch-sharded execution failures.
-
-    Raised by the coordinator only: shard workers ship structured error
-    records over the result queue and the coordinator re-raises them (or
-    one of the subclasses below) after discarding all partial state and
-    killing the remaining workers — a shard failure never hangs a run.
-    """
-
-
-class ShardCrashError(ShardError):
-    """A shard worker process died mid-epoch (killed, segfault, OOM)."""
-
-
-class ShardTimeoutError(ShardError):
-    """No shard made progress within the watchdog window.
-
-    The harness entry points (:func:`repro.harness.runner.run_benchmark_direct`,
-    :func:`repro.fuzz.program.run_program`) respond by rebuilding the
-    simulator and retrying the whole run a bounded number of times —
-    sharded execution is deterministic, so a retry reproduces the run
-    exactly.
-    """

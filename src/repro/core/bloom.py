@@ -21,7 +21,6 @@ gives miss rates of 25 % / 12.5 % / 6.25 % at 8/16/32 bits, and 4 bins are
 
 from __future__ import annotations
 
-from typing import Iterable
 
 import numpy as np
 
@@ -62,12 +61,6 @@ class BloomSignature:
     def insert(self, sig: int, addr: int) -> int:
         """Insert ``addr`` into an existing signature."""
         return sig | self.encode(addr)
-
-    def encode_set(self, addrs: Iterable[int]) -> int:
-        sig = 0
-        for a in addrs:
-            sig = self.insert(sig, a)
-        return sig
 
     @staticmethod
     def intersect(sig_a: int, sig_b: int) -> int:

@@ -53,23 +53,6 @@ class RaceLog:
         self.trip_counts: Dict[Tuple, int] = {}
         self._seen: Set[Tuple] = set()
         self._pair_keys: Set[Tuple] = set()
-        # Epoch-sharded execution (docs/ENGINE.md) splits detection across
-        # a coordinator log and per-shard logs, then rebuilds one log whose
-        # report order matches the inline interleaving exactly. While
-        # ``order_base`` is set (a (launch, cycle, sm, seq) key), every new
-        # dedup group is stamped with that key plus an intra-step counter;
-        # :func:`merge_ordered_logs` sorts on the stamps. ``None`` (the
-        # inline default) records nothing and costs one attribute check
-        # per *new distinct race* only.
-        self.order_base: Optional[Tuple[int, ...]] = None
-        self._order: Dict[Tuple, Tuple] = {}
-        self._order_n = 0
-
-    def _stamp(self, key: Tuple) -> None:
-        base = self.order_base
-        if base is not None:
-            self._order[key] = base + (self._order_n,)
-            self._order_n += 1
 
     @staticmethod
     def _key(r: RaceReport) -> Tuple:
@@ -88,7 +71,6 @@ class RaceLog:
         if key in self._seen:
             return False
         self._seen.add(key)
-        self._stamp(key)
         self.reports.append(race)
         return True
 
@@ -114,7 +96,6 @@ class RaceLog:
         if key in self._seen:
             return False
         self._seen.add(key)
-        self._stamp(key)
         self.reports.append(RaceReport(
             category=category, kind=kind, space=space, entry=entry,
             addr=addr, owner_tid=owner_tid, access_tid=access_tid,
@@ -196,49 +177,4 @@ class RaceLog:
         self.trip_counts.clear()
         self._seen.clear()
         self._pair_keys.clear()
-        self._order.clear()
 
-
-def merge_ordered_logs(target: RaceLog, sources: Iterable[RaceLog]) -> None:
-    """Rebuild ``target`` as the order-exact merge of itself and ``sources``.
-
-    Every log involved must have stamped its entries (see
-    ``RaceLog.order_base``); entries are deduplicated by the standard log
-    key, keeping the earliest-stamped report, and re-inserted in stamp
-    order — which, with (launch, cycle, sm, seq) stamps, is exactly the
-    order the inline simulator would have discovered them in. Trip counts
-    sum and pair-key sets union across the logs. The merge is cumulative:
-    re-merging a target that already contains prior launches keeps the
-    earlier stamps, so multi-launch logs converge to the inline log.
-    """
-    logs = [target, *sources]
-    best: Dict[Tuple, Tuple[Tuple, RaceReport]] = {}
-    trips: Dict[Tuple, int] = {}
-    pairs: Set[Tuple] = set()
-    for i, log in enumerate(logs):
-        for j, r in enumerate(log.reports):
-            key = RaceLog._key(r)
-            # entries stamped before order_base was set sort first, in
-            # their original insertion order (defensive: the sharded path
-            # always stamps)
-            tag = log._order.get(key, (-1, i, j))
-            prev = best.get(key)
-            if prev is None or tag < prev[0]:
-                best[key] = (tag, r)
-        for key, n in log.trip_counts.items():
-            trips[key] = trips.get(key, 0) + n
-        pairs |= log._pair_keys
-    base = target.order_base
-    target.clear()
-    target.order_base = None
-    for key, (tag, r) in sorted(best.items(), key=lambda kv: kv[1][0]):
-        target._seen.add(key)
-        target._order[key] = tag
-        target.reports.append(r)
-        target.trip_counts[key] = trips.pop(key)
-    # trips whose first report came from a never-reported path (shouldn't
-    # happen, but never drop counts)
-    for key, n in trips.items():
-        target.trip_counts[key] = n
-    target._pair_keys = pairs
-    target.order_base = base

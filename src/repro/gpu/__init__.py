@@ -10,8 +10,8 @@ This package is the reproduction's stand-in for GPGPU-Sim. It provides:
 - thread-block lifecycle and barrier semantics (:mod:`repro.gpu.block`);
 - streaming multiprocessors with round-robin warp scheduling and
   event-driven timing (:mod:`repro.gpu.sm`);
-- memory coalescing (:mod:`repro.gpu.coalescer`) and banked shared memory
-  (:mod:`repro.gpu.shared_memory`);
+- timing: memory coalescing (:mod:`repro.gpu.coalescer`), banked shared
+  memory conflicts and pipeline costs (:mod:`repro.gpu.timing`);
 - the top-level :class:`repro.gpu.simulator.GPUSimulator` that dispatches
   blocks to SMs, advances SMs in global-time order, and exposes hook points
   for the race-detection units.

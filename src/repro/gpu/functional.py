@@ -2,24 +2,19 @@
 
 This module is the other half of the engine split described in
 ``docs/ENGINE.md``: pure per-warp decode (op tuples -> per-lane
-:class:`~repro.common.types.LaneAccess` records, plus a per-warp address
-list for the batched timing/detection paths) and functional execution
-(moving lane values through shared/global memory and completing lanes).
-Nothing here reads or writes cycle counts; :mod:`repro.gpu.timing` prices
-the same decoded access independently.
+:class:`~repro.common.types.LaneAccess` records plus the lane address
+list) and functional execution (moving lane values through shared/global
+memory and completing lanes). Nothing here reads or writes cycle counts;
+:mod:`repro.gpu.timing` prices the same decoded access independently.
 
-The decode fast path produces, in one pass over the lanes, both the
-per-lane records the event pipeline consumes and the address list the
-batched coalescer/bank-conflict/shadow kernels consume (the shadow tables
-lift it into an int64 vector; the warp-local timing kernels sweep it
-directly — a warp is at most 32 lanes). It is bit-identical to the scalar
-decode; ``DecodedAccess.addrs`` is simply ``None`` when the fast path is
-off or the lane sizes are not uniform.
+Decode makes one pass over the lanes and produces both the per-lane
+records the event pipeline consumes and the address list the timing
+kernels sweep (a warp is at most 32 lanes).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, List, NamedTuple, Tuple
 
 from repro.common.types import AccessKind, LaneAccess
 from repro.gpu.atomics import apply_atomic
@@ -32,15 +27,15 @@ _KIND_OF = {OP_LOAD: AccessKind.READ, OP_STORE: AccessKind.WRITE}
 class DecodedAccess(NamedTuple):
     """One decoded warp memory op-group.
 
-    ``addrs`` is a per-lane address list (lane order) when the warp-batch
-    fast path is active and every lane has the same access size; ``size``
-    is that uniform size (0 when ``addrs`` is None). ``critical_any`` is
-    precomputed so the emission path does not rescan the lanes.
+    ``addrs`` is the per-lane address list (lane order); ``size`` is the
+    lanes' common access size, 0 when the lane sizes differ (or there are
+    no lanes). ``critical_any`` is precomputed so the emission path does
+    not rescan the lanes.
     """
 
     kind: AccessKind
     lanes: List[LaneAccess]
-    addrs: Optional[List[int]]
+    addrs: List[int]
     size: int
     critical_any: bool = False
 
@@ -50,22 +45,9 @@ def decode_kind(code: int) -> AccessKind:
     return _KIND_OF.get(code, AccessKind.ATOMIC)
 
 
-def decode_lanes(code: int,
-                 lanes: Iterable[Tuple[int, Any]]
-                 ) -> Tuple[AccessKind, List[LaneAccess]]:
-    """Scalar decode: one memory op-group -> per-lane access records."""
-    kind = decode_kind(code)
-    lane_accesses = [
-        LaneAccess(lane_idx, t.pending[2], t.pending[3], kind,
-                   t.lock_sig, t.critical_depth > 0)
-        for lane_idx, t in lanes
-    ]
-    return kind, lane_accesses
-
-
 def decode_warp(code: int, lanes: List[Tuple[int, Any]],
-                fast: bool, clean: bool = False) -> DecodedAccess:
-    """Decode an op-group; with ``fast`` also build the address vector.
+                clean: bool = False) -> DecodedAccess:
+    """Decode an op-group into lane records and the lane address list.
 
     ``clean`` asserts no lane of the issuing warp has ever executed a
     lock-acquire (``Warp.lock_touched`` is False): every lock signature
@@ -75,60 +57,38 @@ def decode_warp(code: int, lanes: List[Tuple[int, Any]],
     kind = decode_kind(code)
     lane_accesses: List[LaneAccess] = []
     append = lane_accesses.append
+    addrs: List[int] = []
+    addrs_append = addrs.append
     # hot loop: build lane tuples through tuple.__new__ to skip the
     # generated NamedTuple constructor frame per lane
     _new: Any = tuple.__new__
     la = LaneAccess
+    size0 = lanes[0][1].pending[3] if lanes else 0
+    uniform = True
+    critical_any = False
     if clean:
-        if not fast:
-            for lane_idx, t in lanes:
-                p = t.pending
-                append(_new(la, (lane_idx, p[2], p[3], kind, 0, False)))
-            return DecodedAccess(kind, lane_accesses, None, 0, False)
-        addrs: List[int] = []
-        addrs_append = addrs.append
-        sz0 = lanes[0][1].pending[3] if lanes else 0
-        same = True
         for lane_idx, t in lanes:
             p = t.pending
             addr = p[2]
             append(_new(la, (lane_idx, addr, p[3], kind, 0, False)))
             addrs_append(addr)
-            if p[3] != sz0:
-                same = False
-        if not same or not lanes:
-            return DecodedAccess(kind, lane_accesses, None, 0, False)
-        return DecodedAccess(kind, lane_accesses, addrs, sz0, False)
-    critical_any = False
-    if not fast:
+            if p[3] != size0:
+                uniform = False
+    else:
         for lane_idx, t in lanes:
             p = t.pending
+            addr = p[2]
+            size = p[3]
             crit = t.critical_depth > 0
             if crit:
                 critical_any = True
-            append(_new(la, (lane_idx, p[2], p[3], kind,
+            append(_new(la, (lane_idx, addr, size, kind,
                              t.lock_sig, crit)))
-        return DecodedAccess(kind, lane_accesses, None, 0, critical_any)
-
-    addr_list: List[int] = []
-    addr_append = addr_list.append
-    size0 = lanes[0][1].pending[3] if lanes else 0
-    uniform = True
-    for lane_idx, t in lanes:
-        p = t.pending
-        addr = p[2]
-        size = p[3]
-        crit = t.critical_depth > 0
-        if crit:
-            critical_any = True
-        append(_new(la, (lane_idx, addr, size, kind,
-                         t.lock_sig, crit)))
-        addr_append(addr)
-        if size != size0:
-            uniform = False
-    if not uniform or not lanes:
-        return DecodedAccess(kind, lane_accesses, None, 0, critical_any)
-    return DecodedAccess(kind, lane_accesses, addr_list, size0, critical_any)
+            addrs_append(addr)
+            if size != size0:
+                uniform = False
+    return DecodedAccess(kind, lane_accesses, addrs,
+                         size0 if uniform else 0, critical_any)
 
 
 # ---------------------------------------------------------------------------

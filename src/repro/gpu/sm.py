@@ -10,7 +10,7 @@ engine layers (``docs/ENGINE.md``):
 
 1. **decode** — :func:`repro.gpu.functional.decode_warp` turns a warp
    op-group into per-lane :class:`~repro.common.types.LaneAccess` records
-   (plus the warp address list when the fast path is on);
+   plus the warp's lane address list;
 2. **timing** — :class:`repro.gpu.timing.TimingModel` prices the access:
    bank-conflict passes, coalescing, the memory-system round trip;
 3. **emission** — the event is published exactly once on the simulator's
@@ -58,14 +58,7 @@ from repro.gpu.ops import (
     OP_STORE,
     OP_UNLOCK,
 )
-from repro.gpu.timing import (  # noqa: F401  (re-exported constants)
-    BARRIER_BASE_COST,
-    FENCE_BASE_COST,
-    LOCK_RETRY_INTERVAL,
-    LOCK_RETRY_LIMIT,
-    TimingModel,
-    lane_hit_flags,
-)
+from repro.gpu.timing import LOCK_RETRY_LIMIT, TimingModel, lane_hit_flags
 from repro.gpu.warp import Warp
 
 
@@ -82,14 +75,8 @@ class StreamingMultiprocessor:
         self.warps: List[Warp] = []
         self._rr = 0
         self.timing = TimingModel(config)
-        self.fast_path = bool(config.fast_path)
         self.idle_cycles = 0
         self.retired_blocks = 0
-
-    @property
-    def shared_model(self):
-        """The banked shared-memory conflict model (owned by the timing layer)."""
-        return self.timing.shared_model
 
     @property
     def stats(self) -> KernelStats:
@@ -229,11 +216,10 @@ class StreamingMultiprocessor:
     def _exec_shared(self, warp: Warp, code: int, lanes, issue: int) -> None:
         block = warp.block
         # decode (clean: lock-free warps skip the per-lane lock-state reads)
-        dec = functional.decode_warp(code, lanes, self.fast_path,
-                                     clean=not warp.lock_touched)
+        dec = functional.decode_warp(code, lanes, clean=not warp.lock_touched)
 
         # timing: bank-conflict replay passes
-        cost = self.timing.shared_cost(dec.lanes, dec.addrs, issue)
+        cost = self.timing.shared_cost(dec.addrs, issue)
 
         # emission
         access = self._make_warp_access(warp, MemSpace.SHARED, dec)
@@ -252,8 +238,7 @@ class StreamingMultiprocessor:
 
     def _exec_global(self, warp: Warp, code: int, lanes, issue: int) -> None:
         # decode (clean: lock-free warps skip the per-lane lock-state reads)
-        dec = functional.decode_warp(code, lanes, self.fast_path,
-                                     clean=not warp.lock_touched)
+        dec = functional.decode_warp(code, lanes, clean=not warp.lock_touched)
 
         # timing: coalesce and take the memory-system round trip
         is_write = code != OP_LOAD
@@ -269,8 +254,7 @@ class StreamingMultiprocessor:
 
         # atomics bypass L1 and serialize per distinct address
         if code == OP_ATOMIC:
-            latency += self.timing.atomic_serialization(dec.lanes, dec.addrs,
-                                                        issue)
+            latency += self.timing.atomic_serialization(dec.addrs, issue)
 
         # emission
         access = self._make_warp_access(warp, MemSpace.GLOBAL, dec)

@@ -8,9 +8,11 @@ fence/barrier pipeline costs — while :mod:`repro.gpu.functional` computes
 the two through the event bus.
 
 Every method here is pure with respect to the simulation's functional
-state: given the same decoded access it returns the same cost whether the
-fast path is on or off. The vectorized variants (``fast_path``) are
-bit-identical to the scalar ones; the golden-parity gate runs both.
+state: given the same decoded access it returns the same cost. Each
+price has one kernel, picked by the input rather than by a flag: the bank
+and atomic sweeps read the lane address list, and coalescing takes the
+segment sweep (:func:`coalesce_fast`) when the lane sizes are uniform and
+the lane-wise :func:`~repro.gpu.coalescer.coalesce` otherwise.
 
 Timing is computed even when the simulator's ``timing_enabled`` flag is
 off: costs feed ``warp.ready_at`` and therefore the event *order*, which
@@ -20,13 +22,11 @@ detection results depend on.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
-from repro.common.bitops import is_power_of_two, log2_exact
 from repro.common.config import GPUConfig
 from repro.common.types import LaneAccess, Transaction
 from repro.gpu.coalescer import _shrink, coalesce
-from repro.gpu.shared_memory import SharedMemoryModel
 
 #: Cycles a warp waits before re-attempting a contended lock acquire.
 LOCK_RETRY_INTERVAL = 40
@@ -97,91 +97,72 @@ def coalesce_fast(addrs: Sequence[int], size: int, is_write: bool,
     return out
 
 
+def bank_conflict_passes(addrs: Sequence[int], bank_width: int,
+                         num_banks: int) -> int:
+    """Serialized shared-memory passes for one warp's lane addresses.
+
+    Lanes reading the same word broadcast (count once); distinct words
+    in the same bank serialize, so the answer is the largest number of
+    distinct words any one bank serves. Plain ``//`` and ``%`` keep it
+    correct for any bank geometry.
+    """
+    seen: Set[int] = set()
+    add = seen.add
+    counts: Dict[int, int] = {}
+    get = counts.get
+    best = 0
+    for a in addrs:
+        w = a // bank_width
+        if w in seen:
+            continue
+        add(w)
+        b = w % num_banks
+        c = get(b, 0) + 1
+        counts[b] = c
+        if c > best:
+            best = c
+    return best
+
+
 class TimingModel:
     """Per-SM timing: shared bank conflicts, global round trips, sync costs."""
 
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self.shared_model = SharedMemoryModel(
-            config.shared_mem_banks, config.shared_bank_width
-        )
-        # the vectorized bank-conflict kernel needs shift/mask arithmetic
-        self._fast = (
-            config.fast_path
-            and is_power_of_two(config.shared_bank_width)
-            and is_power_of_two(config.shared_mem_banks)
-        )
-        self._bank_shift = (log2_exact(config.shared_bank_width)
-                            if is_power_of_two(config.shared_bank_width) else 0)
-        self._bank_mask = config.shared_mem_banks - 1
 
     # -- shared memory -----------------------------------------------------
 
-    def shared_cost(self, lane_accesses: Sequence[LaneAccess],
-                    addrs: Optional[Sequence[int]],
-                    issue: int) -> int:
+    def shared_cost(self, addrs: Sequence[int], issue: int) -> int:
         """Cost of one shared-memory warp access (latency + replay passes)."""
-        if self._fast and addrs is not None:
-            passes = self._conflict_passes_fast(addrs)
-        else:
-            passes = self.shared_model.conflict_passes(lane_accesses)
-        return self.config.shared_latency + passes * issue
-
-    def _conflict_passes_fast(self, addrs: Sequence[int]) -> int:
-        """Batched bank-conflict passes: distinct words per bank, max.
-
-        A warp is at most 32 lanes, so a set/dict sweep beats array
-        set-ops on the tiny operand; the shift/mask arithmetic still
-        comes from the power-of-two geometry checked at construction.
-        """
-        shift = self._bank_shift
-        mask = self._bank_mask
-        seen: Set[int] = set()
-        add = seen.add
-        counts: Dict[int, int] = {}
-        get = counts.get
-        best = 0
-        for a in addrs:
-            w = a >> shift
-            if w in seen:
-                continue
-            add(w)
-            b = w & mask
-            c = get(b, 0) + 1
-            counts[b] = c
-            if c > best:
-                best = c
-        return best
+        cfg = self.config
+        passes = bank_conflict_passes(addrs, cfg.shared_bank_width,
+                                      cfg.shared_mem_banks)
+        return cfg.shared_latency + passes * issue
 
     # -- global memory -----------------------------------------------------
 
     def global_transactions(self, lane_accesses: Sequence[LaneAccess],
-                            addrs: Optional[Sequence[int]],
+                            addrs: Sequence[int],
                             size: int, is_write: bool) -> List[Transaction]:
-        """Coalesce one global warp access into memory transactions."""
-        if self._fast and addrs is not None and size > 0:
+        """Coalesce one global warp access into memory transactions.
+
+        ``size`` is the lanes' common access size, 0 when they differ:
+        mixed-size warps take the lane-wise :func:`coalesce`.
+        """
+        if size > 0:
             return coalesce_fast(addrs, size, is_write, lane_accesses)
         return coalesce(lane_accesses, is_write)
 
-    def atomic_serialization(self, lane_accesses: Sequence[LaneAccess],
-                             addrs: Optional[Sequence[int]],
-                             issue: int) -> int:
+    def atomic_serialization(self, addrs: Sequence[int], issue: int) -> int:
         """Extra cycles for same-address atomics (serialize in lane order)."""
-        if self._fast and addrs is not None:
-            if not addrs:
-                return 0
-            per: Dict[int, int] = {}
-            best = 0
-            for a in addrs:
-                c = per.get(a, 0) + 1
-                per[a] = c
-                if c > best:
-                    best = c
-            return (best - 1) * issue
-        per_addr: Dict[int, int] = {}
-        for la in lane_accesses:
-            per_addr[la.addr] = per_addr.get(la.addr, 0) + 1
-        return (max(per_addr.values()) - 1) * issue
+        per: Dict[int, int] = {}
+        best = 0
+        for a in addrs:
+            c = per.get(a, 0) + 1
+            per[a] = c
+            if c > best:
+                best = c
+        return max(best - 1, 0) * issue
 
     # -- synchronization ---------------------------------------------------
 

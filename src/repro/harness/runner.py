@@ -14,9 +14,8 @@ difference — a cached :class:`RunResult` compares equal to a live one.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.bench.common import Injection, NO_INJECTION
 from repro.bench.suite import get_benchmark
@@ -27,7 +26,6 @@ from repro.common.config import (
     HAccRGConfig,
     scaled_gpu_config,
 )
-from repro.common.errors import ShardTimeoutError
 from repro.common.types import KernelStats, MemSpace
 from repro.core.clocks import ClockStats
 from repro.core.detector import HAccRGDetector
@@ -156,37 +154,6 @@ def run_benchmark(name: str,
         **overrides)
 
 
-def shard_retries() -> int:
-    """Bounded re-run budget after a shard-worker timeout (default 1).
-
-    A timed-out sharded run kills the whole worker fleet; the retry builds
-    a fresh simulator (which respawns workers) and re-executes. The
-    simulation is deterministic, so a retry reproduces the run exactly.
-    """
-    raw = os.environ.get("REPRO_SHARD_RETRIES")
-    if raw is None:
-        return 1
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 1
-
-
-def rebuild_bench_launches(payload: Dict[str, Any], sim: GPUSimulator
-                           ) -> List[Any]:
-    """Shard-side launch-plan rebuild (see ``GPUSimulator.launch_source``).
-
-    Runs the benchmark builder against the worker-local simulator,
-    repeating the coordinator's allocation sequence so device addresses
-    match byte for byte, and returns the plan's launch sequence.
-    """
-    bench = get_benchmark(payload["name"])
-    plan = bench.plan(sim, scale=payload["scale"], seed=payload["seed"],
-                      injection=payload["injection"],
-                      **payload["overrides"])
-    return list(plan.launches)
-
-
 def run_benchmark_direct(name: str,
                          detector_config: Optional[HAccRGConfig] = None,
                          gpu_config: Optional[GPUConfig] = None,
@@ -206,42 +173,10 @@ def run_benchmark_direct(name: str,
     observer priority alongside any detector — they watch the same live
     run. They are live objects, so this parameter exists only on the
     direct path: it never reaches a campaign session's cache key.
-
-    Sharded runs (``sm_workers > 0``) that stall past the watchdog are
-    retried with a fresh simulator up to ``REPRO_SHARD_RETRIES`` times;
-    the failed attempt's partial state is discarded wholesale.
     """
-    attempt = 0
-    retries = shard_retries()
-    while True:
-        try:
-            return _run_benchmark_attempt(
-                name, detector_config, gpu_config, scale=scale, seed=seed,
-                injection=injection, timing_enabled=timing_enabled,
-                verify=verify, observers=observers, **overrides)
-        except ShardTimeoutError:
-            attempt += 1
-            if attempt > retries:
-                raise
-
-
-def _run_benchmark_attempt(name: str,
-                           detector_config: Optional[HAccRGConfig] = None,
-                           gpu_config: Optional[GPUConfig] = None,
-                           scale: float = 1.0,
-                           seed: int = 0,
-                           injection: Injection = NO_INJECTION,
-                           timing_enabled: bool = True,
-                           verify: bool = False,
-                           observers: Optional[Sequence[Subscriber]] = None,
-                           **overrides) -> RunResult:
     bench = get_benchmark(name)
     sim = GPUSimulator(gpu_config or scaled_gpu_config(),
                        timing_enabled=timing_enabled)
-    sim.launch_source = ("repro.harness.runner", "rebuild_bench_launches", {
-        "name": name, "scale": scale, "seed": seed,
-        "injection": injection, "overrides": dict(overrides),
-    })
     detector = None
     if detector_config is not None and detector_config.mode != DetectionMode.OFF:
         detector = make_detector(detector_config, sim)
@@ -251,10 +186,7 @@ def _run_benchmark_attempt(name: str,
 
     plan = bench.plan(sim, scale=scale, seed=seed, injection=injection,
                       **overrides)
-    try:
-        results = plan.run(sim)
-    finally:
-        sim.close()
+    results = plan.run(sim)
 
     verified: Optional[bool] = None
     if verify and plan.verify is not None:

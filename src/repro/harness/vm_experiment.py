@@ -47,9 +47,6 @@ class TLBProbe(Subscriber):
     ``RunResult.tlb``, the JSON export, and the CLI summary line.
     """
 
-    #: pure function of the access stream — safe under epoch replay
-    replay_safe = True
-
     def __init__(self, entries: int = 16, page_size: int = 4096,
                  shadowed: bool = False) -> None:
         self._page_size = page_size

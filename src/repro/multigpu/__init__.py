@@ -16,7 +16,6 @@ from repro.multigpu.bench import (
     MG_INJECTION_CATALOG,
     MGInjectionSpec,
     get_mg_benchmark,
-    rebuild_mg_launches,
 )
 from repro.multigpu.detector import CrossGPURace, DirectoryDetector
 from repro.multigpu.memory import SharedPagePool
@@ -42,7 +41,6 @@ __all__ = [
     "SharedPagePool",
     "get_mg_benchmark",
     "mg_gpu_config",
-    "rebuild_mg_launches",
     "run_mg_benchmark",
     "run_mg_record",
 ]

