@@ -171,14 +171,12 @@ def thread_ops(program: FuzzProgram, gtid: int) -> Iterator[SymOp]:
                 yield SymOp("fence", stmt=si)
             if not naked:
                 yield SymOp("unlock", addr=lock_idx, stmt=si)
-        elif op == "div":
+        else:  # "div" (a FuzzProgram admits only FUZZ_OPS)
             if lane < 16:
                 yield SymOp("store", A_GLOBAL, (st["base"] + gtid) * 4, 4,
                             si, "div:write")
             else:
                 yield SymOp("compute", stmt=si)
-        else:
-            raise ValueError(f"unknown fuzz op {op!r}")
 
 
 # ---------------------------------------------------------------------------

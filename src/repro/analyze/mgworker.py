@@ -6,28 +6,30 @@ The multi-device twin of :mod:`repro.analyze.worker`: an
 variant) or an mg-fuzz seed (``source="mgfuzz"``) — plus whether to
 differentially validate the static verdicts against the
 :class:`~repro.core.groundtruth.MultiDeviceOracle` (which costs one
-multi-device simulation). Records carry ``kind: "mganalyze"`` and
-dispatch through ``repro.campaign.jobs.JOB_EXECUTORS``, so multi-device
-analyze sweeps get the campaign engine's cache/resume/parallelism for
-free, exactly like the single-device sweeps.
+multi-device simulation). Records carry ``kind: "mganalyze"``, so
+multi-device analyze sweeps run on the campaign pool and result store
+exactly like the single-device sweeps.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.campaign.jobs import JOB_SCHEMA, JobSpecError
+from repro.campaign.jobs import JobSpec
 
 #: results with a different schema are never served from cache
 MGANALYZE_SCHEMA = 1
 
 
 @dataclass(frozen=True)
-class MGAnalyzeJob:
+class MGAnalyzeJob(JobSpec):
     """One content-addressed multi-device static analysis."""
+
+    kind = "mganalyze"
+    schemas = {"mganalyze_schema": MGANALYZE_SCHEMA}
+    result_schema = MGANALYZE_SCHEMA
 
     source: str = "bench"         # 'bench' | 'mgfuzz'
     bench: str = "MG_RING"
@@ -36,41 +38,6 @@ class MGAnalyzeJob:
     gpus: int = 2
     scale: float = 1.0
     validate: bool = True
-
-    def record(self) -> Dict[str, Any]:
-        return {
-            "schema": JOB_SCHEMA,
-            "kind": "mganalyze",
-            "mganalyze_schema": MGANALYZE_SCHEMA,
-            "source": self.source,
-            "bench": self.bench,
-            "injection": self.injection,
-            "seed": self.seed,
-            "gpus": self.gpus,
-            "scale": self.scale,
-            "validate": self.validate,
-        }
-
-    def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "MGAnalyzeJob":
-        if record.get("schema") != JOB_SCHEMA or \
-                record.get("kind") != "mganalyze":
-            raise JobSpecError(
-                f"not an mganalyze job record: {record.get('kind')!r}")
-        return cls(
-            source=str(record.get("source", "bench")),
-            bench=str(record.get("bench", "MG_RING")),
-            injection=str(record.get("injection", "")),
-            seed=int(record.get("seed", 0)),
-            gpus=int(record.get("gpus", 2)),
-            scale=float(record.get("scale", 1.0)),
-            validate=bool(record.get("validate", True)),
-        )
 
     def describe(self) -> str:
         if self.source == "mgfuzz":
@@ -96,7 +63,7 @@ def _check_expected(check: Dict[str, Any], expected: Any,
 
 
 def execute_mg_analyze_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-side entry point (see ``JOB_EXECUTORS['mganalyze']``)."""
+    """Worker-side entry point for job kind ``mganalyze``."""
     from repro.analyze.multidevice import build_mg_report, mg_cross_check
     from repro.analyze.verdict import report_json
 
@@ -227,65 +194,34 @@ def run_mg_analyze_campaign(gpus: int = 2,
     race included — expected racy); ``injected`` adds every
     ``MG_INJECTION_CATALOG`` variant.
     """
-    from repro.campaign.pool import WorkerPool
-    from repro.campaign.store import ResultStore
+    from repro.campaign.pool import run_cached
 
-    jobs: Dict[str, MGAnalyzeJob] = {}
+    jobs: List[MGAnalyzeJob] = []
     if benchmarks:
         from repro.analyze.benchmodels import MG_BENCHES
 
-        for bench in MG_BENCHES:
-            job = MGAnalyzeJob(source="bench", bench=bench, gpus=gpus,
-                               scale=scale, validate=validate)
-            jobs[job.key()] = job
+        jobs.extend(MGAnalyzeJob(source="bench", bench=bench, gpus=gpus,
+                                 scale=scale, validate=validate)
+                    for bench in MG_BENCHES)
     if injected:
         from repro.multigpu.bench import MG_INJECTION_CATALOG
 
-        for spec in MG_INJECTION_CATALOG:
-            job = MGAnalyzeJob(source="bench", bench=spec.bench,
-                               injection=spec.injection, gpus=gpus,
-                               scale=scale, validate=validate)
-            jobs[job.key()] = job
-    for i in range(iterations):
-        job = MGAnalyzeJob(source="mgfuzz", seed=seed + i, gpus=gpus,
-                           validate=validate)
-        jobs[job.key()] = job
+        jobs.extend(MGAnalyzeJob(source="bench", bench=spec.bench,
+                                 injection=spec.injection, gpus=gpus,
+                                 scale=scale, validate=validate)
+                    for spec in MG_INJECTION_CATALOG)
+    jobs.extend(MGAnalyzeJob(source="mgfuzz", seed=seed + i, gpus=gpus,
+                             validate=validate)
+                for i in range(iterations))
 
-    store = ResultStore(cache_dir) if cache_dir else None
     result = MGAnalyzeCampaignResult()
-    by_key: Dict[str, Dict[str, Any]] = {}
-    to_run: Dict[str, MGAnalyzeJob] = {}
-    for key, job in jobs.items():
-        cached = store.get(job) if store is not None else None
-        if cached is not None and \
-                cached.get("schema") == MGANALYZE_SCHEMA:
-            by_key[key] = cached
-            result.cache_hits += 1
-        else:
-            to_run[key] = job
-
-    if to_run:
-        pool = WorkerPool(workers=workers, timeout=timeout)
-
-        def on_outcome(outcome: Any) -> None:
-            job = to_run[outcome.key]
-            if outcome.ok:
-                by_key[outcome.key] = outcome.record
-                if store is not None:
-                    store.put(job, outcome.record, outcome.elapsed)
-            else:
-                result.failures.append({
-                    "job": job.describe(),
-                    "status": outcome.status,
-                    "error": outcome.error,
-                })
-            if progress:
-                progress(job, outcome)
-
-        pool.run(to_run, on_outcome=on_outcome)
-
+    records, failed, result.cache_hits = run_cached(
+        jobs, workers=workers, timeout=timeout, cache_dir=cache_dir,
+        progress=progress)
+    result.failures = [{"job": job.describe(), "status": outcome.status,
+                        "error": outcome.error} for job, outcome in failed]
     result.results = sorted(
-        by_key.values(),
+        records,
         key=lambda r: (str(r.get("source", "")), str(r.get("note", ""))))
     return result
 

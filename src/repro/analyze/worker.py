@@ -5,15 +5,14 @@ seed (``source="fuzz"``: the program `generate_program` derives from
 ``seed + index``) or a benchmark model (``source="bench"``: a
 :mod:`repro.analyze.benchmodels` variant) — plus whether to
 differentially validate the verdicts against the ground-truth oracle
-(which costs one simulator run). Records carry ``kind: "analyze"`` and
-dispatch through ``repro.campaign.jobs.JOB_EXECUTORS``, so analyze
-sweeps get the campaign engine's cache/resume/parallelism for free.
+(which costs one simulator run). Records carry ``kind: "analyze"``, so
+analyze sweeps run on the campaign pool and result store like any other
+job kind.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -25,7 +24,7 @@ from typing import (
     Tuple,
 )
 
-from repro.campaign.jobs import JOB_SCHEMA, JobSpecError
+from repro.campaign.jobs import JobSpec
 from repro.fuzz.generator import GeneratorParams
 
 if TYPE_CHECKING:
@@ -36,8 +35,12 @@ ANALYZE_SCHEMA = 1
 
 
 @dataclass(frozen=True)
-class AnalyzeJob:
+class AnalyzeJob(JobSpec):
     """One content-addressed static analysis."""
+
+    kind = "analyze"
+    schemas = {"analyze_schema": ANALYZE_SCHEMA}
+    result_schema = ANALYZE_SCHEMA
 
     source: str = "fuzz"          # 'fuzz' | 'bench'
     seed: int = 0
@@ -51,43 +54,6 @@ class AnalyzeJob:
     @property
     def iteration_seed(self) -> int:
         return self.seed + self.index
-
-    def record(self) -> Dict[str, Any]:
-        return {
-            "schema": JOB_SCHEMA,
-            "kind": "analyze",
-            "analyze_schema": ANALYZE_SCHEMA,
-            "source": self.source,
-            "seed": self.seed,
-            "index": self.index,
-            "params": self.params.record(),
-            "bench": self.bench,
-            "omit": list(self.omit),
-            "emit": list(self.emit),
-            "validate": self.validate,
-        }
-
-    def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "AnalyzeJob":
-        if record.get("schema") != JOB_SCHEMA or \
-                record.get("kind") != "analyze":
-            raise JobSpecError(
-                f"not an analyze job record: {record.get('kind')!r}")
-        return cls(
-            source=str(record.get("source", "fuzz")),
-            seed=int(record.get("seed", 0)),
-            index=int(record.get("index", 0)),
-            params=GeneratorParams.from_record(record["params"]),
-            bench=str(record.get("bench", "")),
-            omit=tuple(record.get("omit", ())),
-            emit=tuple(record.get("emit", ())),
-            validate=bool(record.get("validate", True)),
-        )
 
     def describe(self) -> str:
         if self.source == "bench":
@@ -106,7 +72,7 @@ class AnalyzeJob:
 
 
 def execute_analyze_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-side entry point (see ``JOB_EXECUTORS['analyze']``)."""
+    """Worker-side entry point for job kind ``analyze``."""
     from repro.analyze.validate import cross_check
     from repro.analyze.verdict import analyze_program, report_json
 
@@ -185,67 +151,35 @@ def run_analyze_campaign(seed: int = 0, iterations: int = 0,
     ``benchmarks`` adds the ten race-free baseline models; ``injected``
     adds every distinct injected variant of the 41-spec catalog.
     """
-    from repro.campaign.pool import WorkerPool
-    from repro.campaign.store import ResultStore
+    from repro.campaign.pool import run_cached
 
     params = params or GeneratorParams()
-    jobs: Dict[str, AnalyzeJob] = {}
-    for i in range(iterations):
-        job = AnalyzeJob(source="fuzz", seed=seed, index=i,
-                         params=params, validate=validate)
-        jobs[job.key()] = job
+    jobs: List[AnalyzeJob] = [
+        AnalyzeJob(source="fuzz", seed=seed, index=i, params=params,
+                   validate=validate)
+        for i in range(iterations)]
     if benchmarks:
         from repro.analyze.benchmodels import BENCHES
 
-        for bench in BENCHES:
-            job = AnalyzeJob(source="bench", bench=bench,
-                             validate=validate)
-            jobs[job.key()] = job
+        jobs.extend(AnalyzeJob(source="bench", bench=bench,
+                               validate=validate) for bench in BENCHES)
     if injected:
         from repro.bench.injection import INJECTION_CATALOG
 
-        for spec in INJECTION_CATALOG:
-            job = AnalyzeJob(source="bench", bench=spec.bench,
-                             omit=spec.omit, emit=spec.emit,
-                             validate=validate)
-            jobs[job.key()] = job
+        jobs.extend(AnalyzeJob(source="bench", bench=spec.bench,
+                               omit=spec.omit, emit=spec.emit,
+                               validate=validate)
+                    for spec in INJECTION_CATALOG)
 
-    store = ResultStore(cache_dir) if cache_dir else None
     result = AnalyzeCampaignResult()
-    by_key: Dict[str, Dict[str, Any]] = {}
-    to_run: Dict[str, AnalyzeJob] = {}
-    for key, job in jobs.items():
-        cached = store.get(job) if store is not None else None
-        if cached is not None and cached.get("schema") == ANALYZE_SCHEMA:
-            by_key[key] = cached
-            result.cache_hits += 1
-        else:
-            to_run[key] = job
-
-    if to_run:
-        pool = WorkerPool(workers=workers, timeout=timeout)
-
-        def on_outcome(outcome: Any) -> None:
-            job = to_run[outcome.key]
-            if outcome.ok:
-                by_key[outcome.key] = outcome.record
-                if store is not None:
-                    store.put(job, outcome.record, outcome.elapsed)
-            else:
-                result.failures.append({
-                    "job": job.describe(),
-                    "status": outcome.status,
-                    "error": outcome.error,
-                })
-            if progress:
-                progress(job, outcome)
-
-        pool.run(to_run, on_outcome=on_outcome)
-
+    records, failed, result.cache_hits = run_cached(
+        jobs, workers=workers, timeout=timeout, cache_dir=cache_dir,
+        progress=progress)
+    result.failures = [{"job": job.describe(), "status": outcome.status,
+                        "error": outcome.error} for job, outcome in failed]
     result.results = sorted(
-        by_key.values(),
-        key=lambda r: (r.get("source", ""), r.get("index", 0),
-                       r.get("note", "")))
+        records, key=lambda r: (r.get("source", ""), r.get("index", 0),
+                                r.get("note", "")))
     return result
 
 

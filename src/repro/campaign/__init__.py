@@ -2,14 +2,15 @@
 
 Turns the one-shot experiment harness into an orchestration layer:
 
-- :mod:`~repro.campaign.jobs` — content-addressed job specs (one
-  canonical hash per ``run_benchmark`` cell);
+- :mod:`~repro.campaign.jobs` — content-addressed job specs (the
+  :class:`~repro.campaign.jobs.JobSpec` base; one canonical hash per
+  cell);
 - :mod:`~repro.campaign.store` — on-disk result store keyed by job hash
   (every re-run of a known cell is a cache hit);
 - :mod:`~repro.campaign.queue` — resumable pending/running/done/failed
   campaign state that survives Ctrl-C;
-- :mod:`~repro.campaign.pool` — spawn-safe multiprocessing worker pool
-  with per-job timeout, bounded retry, and crash isolation;
+- :mod:`~repro.campaign.pool` — the job supervisor: spawn-safe worker
+  processes with per-job timeout, bounded retry, and crash isolation;
 - :mod:`~repro.campaign.progress` — live progress lines + structured
   JSON campaign report;
 - :mod:`~repro.campaign.campaigns` — declarative grids covering the
@@ -29,7 +30,13 @@ from repro.campaign.engine import (
     run_campaign,
     session,
 )
-from repro.campaign.jobs import JOB_SCHEMA, Job, JobSpecError, execute
+from repro.campaign.jobs import (
+    JOB_SCHEMA,
+    Job,
+    JobSpec,
+    JobSpecError,
+    execute,
+)
 from repro.campaign.pool import JobOutcome, WorkerPool
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.queue import CampaignState, JobState
@@ -45,6 +52,7 @@ __all__ = [
     "JOB_SCHEMA",
     "Job",
     "JobOutcome",
+    "JobSpec",
     "JobSpecError",
     "JobState",
     "ProgressReporter",

@@ -1,21 +1,28 @@
 """Content-addressed job specifications.
 
-A :class:`Job` captures one ``run_benchmark`` call — benchmark, detector
-and GPU configuration, scale, seed, injection, and builder overrides — in
-a canonical form whose SHA-256 hash is stable across processes, Python
-versions, and dict insertion orders. The hash is the key of the
-on-disk result store (:mod:`repro.campaign.store`): two invocations that
-would simulate identically share one cache entry.
+Every unit of work the campaign engine or the detection service runs is a
+frozen :class:`JobSpec`: plain data with one canonical JSON ``record()``
+whose SHA-256 hash is its ``key()`` — stable across processes, Python
+versions and dict insertion orders. The key addresses the on-disk result
+store (:mod:`repro.campaign.store`): two invocations that would compute
+identically share one cache entry.
 
-Canonicalization rules:
+A record is a header (``schema``, the ``kind`` that picks the worker-side
+executor, and per-kind ``*_schema`` versions) followed by the spec's
+fields: tuples as lists, enums by name, nested dataclasses as their own
+records. :meth:`JobSpec.from_record` checks the header and every field's
+type against the dataclass annotations, so a malformed record raises
+:class:`JobSpecError` before any work starts.
+
+:class:`Job` is the benchmark cell — one ``run_benchmark`` call — with
+these canonicalization rules:
 
 - ``gpu_config=None`` resolves to :func:`scaled_gpu_config` *before*
   hashing, so the key pins the actual hardware parameters rather than a
   default that could drift;
 - a detector config in mode OFF collapses to ``None`` (``run_benchmark``
   treats them identically);
-- injection sites and override keys are sorted;
-- enums serialize by name, never by value.
+- injection sites and override keys are sorted.
 
 ``JOB_SCHEMA`` is part of the hashed payload — bump it whenever the
 simulator's observable behaviour changes in a way that invalidates old
@@ -26,20 +33,21 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type, TypeVar
 
 from repro.bench.common import Injection, NO_INJECTION
 from repro.common.config import (
     DetectionMode,
-    DetectorBackend,
     GPUConfig,
     HAccRGConfig,
     scaled_gpu_config,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ReproError
 
 #: bump to invalidate every previously cached result
 JOB_SCHEMA = 1
@@ -48,31 +56,158 @@ _JSON_PRIMITIVES = (str, int, float, bool, type(None))
 
 
 class JobSpecError(ConfigError):
-    """A job argument cannot be canonically serialized."""
+    """A job record or argument is malformed or cannot be serialized."""
 
 
-def _config_record(cfg) -> Dict[str, Any]:
-    """A frozen config dataclass as a plain dict (enums by name)."""
-    out: Dict[str, Any] = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = value.name if isinstance(value, enum.Enum) else value
-    return out
+# ---------------------------------------------------------------------------
+# canonical encoding
+# ---------------------------------------------------------------------------
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, enum.Enum):
+        return value.name
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if hasattr(value, "record"):
+        return value.record()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    return value
 
 
-def _detector_from_record(record: Optional[Dict[str, Any]]
-                          ) -> Optional[HAccRGConfig]:
-    if record is None:
-        return None
-    kwargs = dict(record)
-    kwargs["mode"] = DetectionMode[kwargs["mode"]]
-    kwargs["backend"] = DetectorBackend[kwargs["backend"]]
-    return HAccRGConfig(**kwargs)
+@functools.lru_cache(maxsize=None)
+def _hints(cls: type) -> Dict[str, Any]:
+    return typing.get_type_hints(cls)
+
+
+def _decode(tp: Any, value: Any, where: str) -> Any:
+    """``value`` from a JSON record as an instance of annotation ``tp``."""
+    origin = typing.get_origin(tp)
+    if origin is typing.Union:        # Optional[X]
+        if value is None:
+            return None
+        (inner,) = [a for a in typing.get_args(tp) if a is not type(None)]
+        return _decode(inner, value, where)
+    if origin is tuple:
+        args = typing.get_args(tp)
+        if isinstance(value, list):
+            if len(args) == 2 and args[1] is Ellipsis:
+                return tuple(_decode(args[0], v, where) for v in value)
+            if len(value) == len(args):
+                return tuple(_decode(a, v, where)
+                             for a, v in zip(args, value))
+    elif tp is Any:
+        if isinstance(value, _JSON_PRIMITIVES):
+            return value
+    elif tp is bool or tp is str:
+        if isinstance(value, tp):
+            return value
+    elif tp is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif tp is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+    elif isinstance(tp, type) and issubclass(tp, enum.Enum):
+        if isinstance(value, str) and value in tp.__members__:
+            return tp[value]
+    elif dataclasses.is_dataclass(tp) and isinstance(value, dict):
+        return _build(tp, value, where)
+    raise JobSpecError(f"{where}: expected {getattr(tp, '__name__', tp)}, "
+                       f"got {value!r}")
+
+
+def _build(cls: type, record: Dict[str, Any], where: str) -> Any:
+    """Construct dataclass ``cls`` from the record's typed fields."""
+    hints = _hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in record:
+            raise JobSpecError(f"{where}: missing field {f.name!r}")
+        kwargs[f.name] = _decode(hints[f.name], record[f.name],
+                                 f"{where}.{f.name}")
+    try:
+        return cls(**kwargs)
+    except JobSpecError:
+        raise
+    except (ReproError, ArithmeticError, TypeError, ValueError) as exc:
+        # the constructor's own validation rejected the fields
+        raise JobSpecError(f"{where}: {type(exc).__name__}: {exc}") \
+            from exc
+
+
+# ---------------------------------------------------------------------------
+# the spec base
+# ---------------------------------------------------------------------------
+
+S = TypeVar("S", bound="JobSpec")
 
 
 @dataclass(frozen=True)
-class Job:
-    """One canonicalized ``run_benchmark`` cell."""
+class JobSpec:
+    """Base of every job kind: canonical record, content key, parser."""
+
+    #: the record's ``kind``, the executor lookup key in
+    #: :data:`JOB_EXECUTORS` (benchmark records predate the field and
+    #: omit it)
+    kind: ClassVar[str] = "bench"
+    #: the record's ``schema`` header
+    schema: ClassVar[int] = JOB_SCHEMA
+    #: per-kind schema versions carried in the header
+    schemas: ClassVar[Dict[str, int]] = {}
+    #: stored results whose own ``schema`` differs are never served
+    result_schema: ClassVar[Optional[int]] = None
+
+    @classmethod
+    def header(cls) -> Dict[str, Any]:
+        head: Dict[str, Any] = {"schema": cls.schema}
+        if cls.kind != "bench":
+            head["kind"] = cls.kind
+        head.update(cls.schemas)
+        return head
+
+    def record(self) -> Dict[str, Any]:
+        """The canonical, JSON-safe form (what gets hashed and stored)."""
+        rec = self.header()
+        for f in dataclasses.fields(self):
+            rec[f.name] = _encode(getattr(self, f.name))
+        return rec
+
+    def key(self) -> str:
+        """Stable content hash of the canonical form."""
+        payload = json.dumps(self.record(), sort_keys=True,
+                             separators=(",", ":"))
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    @classmethod
+    def from_record(cls: Type[S], record: Any) -> S:
+        """Rebuild a spec from its canonical form (worker-side)."""
+        if not isinstance(record, dict):
+            raise JobSpecError(f"a {cls.kind} job record must be an object")
+        head = cls.header()
+        got = {k: record.get(k) for k in head}
+        if any(type(got[k]) is not type(v) or got[k] != v
+               for k, v in head.items()):
+            raise JobSpecError(f"not a {cls.kind} job record: header "
+                               f"{got} != {head}")
+        return _build(cls, record, cls.kind)
+
+
+# ---------------------------------------------------------------------------
+# benchmark cells
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Job(JobSpec):
+    """One canonicalized ``run_benchmark`` cell.
+
+    Its record nests the injection sites (``{"omit", "emit"}``) and
+    writes the overrides as an object.
+    """
 
     bench: str
     detector: Optional[HAccRGConfig]
@@ -118,49 +253,26 @@ class Job:
             overrides=tuple(sorted(overrides.items())),
         )
 
-    # ------------------------------------------------------------------
-    # canonical form and key
-
     def record(self) -> Dict[str, Any]:
-        """The canonical, JSON-safe form (what gets hashed and stored)."""
-        return {
-            "schema": JOB_SCHEMA,
-            "bench": self.bench,
-            "detector": (_config_record(self.detector)
-                         if self.detector is not None else None),
-            "gpu": _config_record(self.gpu),
-            "scale": self.scale,
-            "seed": self.seed,
-            "injection": {"omit": list(self.omit), "emit": list(self.emit)},
-            "timing_enabled": self.timing_enabled,
-            "verify": self.verify,
-            "overrides": {k: v for k, v in self.overrides},
-        }
-
-    def key(self) -> str:
-        """Stable content hash of the canonical form."""
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        rec = super().record()
+        rec["injection"] = {"omit": rec.pop("omit"), "emit": rec.pop("emit")}
+        rec["overrides"] = dict(self.overrides)
+        return rec
 
     @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "Job":
-        """Rebuild a Job from its canonical form (worker-side)."""
-        if record.get("schema") != JOB_SCHEMA:
-            raise JobSpecError(
-                f"job schema {record.get('schema')!r} != {JOB_SCHEMA}")
-        return cls(
-            bench=record["bench"],
-            detector=_detector_from_record(record["detector"]),
-            gpu=GPUConfig(**record["gpu"]),
-            scale=float(record["scale"]),
-            seed=int(record["seed"]),
-            omit=tuple(record["injection"]["omit"]),
-            emit=tuple(record["injection"]["emit"]),
-            timing_enabled=bool(record["timing_enabled"]),
-            verify=bool(record["verify"]),
-            overrides=tuple(sorted(record["overrides"].items())),
-        )
+    def from_record(cls, record: Any) -> "Job":
+        if not isinstance(record, dict) \
+                or not isinstance(record.get("injection"), dict) \
+                or not isinstance(record.get("overrides"), dict):
+            raise JobSpecError("a bench job record needs 'injection' and "
+                               "'overrides' objects")
+        flat = {k: v for k, v in record.items()
+                if k not in ("injection", "omit", "emit")}
+        flat.update((k, v) for k, v in record["injection"].items()
+                    if k in ("omit", "emit"))
+        flat["overrides"] = [list(kv)
+                             for kv in sorted(record["overrides"].items())]
+        return super().from_record(flat)
 
     # ------------------------------------------------------------------
     # execution
@@ -213,37 +325,27 @@ def execute_bench_record(record: Dict[str, Any]) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # job-kind registry
 #
-# The pool executes *records*, not Job instances, so any subsystem can
-# ride the same workers/cache/retry machinery by contributing a frozen
-# spec with ``key()``/``record()`` and registering an executor for its
-# ``kind``. Targets are "module:function" strings imported lazily so the
-# supervisor process never pays for subsystems a campaign doesn't use.
+# The pool executes *records*, not spec instances, so any subsystem rides
+# the same workers/cache/retry machinery by contributing a JobSpec
+# subclass and an executor for its ``kind``. Targets are
+# "module:function" strings imported lazily so the supervisor process
+# never pays for subsystems a campaign doesn't use.
 
 JOB_EXECUTORS: Dict[str, str] = {
     "bench": "repro.campaign.jobs:execute_bench_record",
     "fuzz": "repro.fuzz.worker:execute_fuzz_record",
     "analyze": "repro.analyze.worker:execute_analyze_record",
     "replay": "repro.serve.worker:execute_replay_record",
-    "perf": "repro.harness.benchperf:execute_perf_record",
     "multigpu": "repro.multigpu.runner:execute_mg_record",
     "mganalyze": "repro.analyze.mgworker:execute_mg_analyze_record",
 }
 
 
-def register_executor(kind: str, target: str) -> None:
-    """Register (or override) the executor for one job kind."""
-    if ":" not in target:
-        raise JobSpecError(f"executor target {target!r} is not "
-                           f"'module:function'")
-    JOB_EXECUTORS[kind] = target
-
-
 def _load_env_executors() -> None:
     """Pick up out-of-tree job kinds from ``REPRO_JOB_EXECUTORS``.
 
-    Spawn workers import this module fresh, so in-process
-    :func:`register_executor` calls never reach them; the environment
-    does. Format: ``kind=module:function[,kind=module:function...]``.
+    Spawn workers import this module fresh, so only the environment
+    reaches them. Format: ``kind=module:function[,kind=module:function]``.
     """
     import os
 
@@ -263,7 +365,7 @@ def execute_record(record: Dict[str, Any]) -> Dict[str, Any]:
     kind = record.get("kind", "bench")
     try:
         target = JOB_EXECUTORS[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise JobSpecError(f"no executor registered for job kind "
                            f"{kind!r}") from None
     mod_name, fn_name = target.split(":", 1)

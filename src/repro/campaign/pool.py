@@ -1,35 +1,65 @@
-"""Multiprocessing worker pool for campaign jobs.
+"""The job supervisor: worker processes, retries, timeouts, crash isolation.
 
-Workers are persistent ``spawn`` processes (spawn is fork-safe on every
-platform and never inherits simulator state); each receives one job at a
-time on a private queue and reports outcomes on a shared result queue.
-The supervisor enforces a per-job wall-clock timeout by terminating the
-worker and respawning a replacement, retries transient failures a bounded
-number of times, and treats a crashed worker (segfault, ``os._exit``,
-OOM-kill) as a job failure rather than a campaign failure — one bad cell
-never kills the run.
+:class:`Supervisor` is the one copy of the machinery that runs job
+records (:mod:`repro.campaign.jobs`) for both the campaign engine and the
+detection service:
 
-``workers <= 1`` (or an unusable multiprocessing platform) degrades to a
-serial in-process loop with the same retry semantics; per-job timeouts
-are not enforceable without a second process and are ignored there.
+- persistent ``spawn`` workers (spawn is fork-safe on every platform and
+  never inherits simulator state); each receives one record at a time on
+  a private queue and reports on a shared result queue;
+- one settle rule: a failed attempt is retried up to ``retries`` times,
+  except one that failed with an :class:`~repro.common.errors.InputError`
+  — a malformed spec fails the same way on every attempt, so it takes
+  exactly one;
+- a per-job wall-clock timeout, enforced by killing and respawning the
+  worker; a worker that dies (segfault, ``os._exit``, OOM-kill) fails its
+  job, never the run;
+- an in-process attempt loop with the same settle rule, for callers that
+  run without worker processes (no timeout kill or crash isolation
+  there).
+
+Two front ends sit on it: the batch :class:`WorkerPool` below (any idle
+worker takes any job; ``workers <= 1`` runs in process) and the streaming
+:class:`repro.serve.scheduler.ShardedWorkerPool` (futures, shard
+affinity).
 
 Everything that crosses a process boundary is plain data: job records in,
-result records out (see :mod:`repro.campaign.jobs`).
+result records out.
 """
 
 from __future__ import annotations
 
+import queue
 import time
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
-from repro.campaign.jobs import Job, execute_record
+from repro.campaign.jobs import JobSpec, execute_record
+from repro.common.errors import InputError
 
 #: outcome status values
 OK = "ok"
 ERROR = "error"
 TIMEOUT = "timeout"
 CRASHED = "crashed"
+
+#: the supervisor's counter for each terminal status
+_STAT = {OK: "completed", ERROR: "errors", TIMEOUT: "timeouts",
+         CRASHED: "crashes"}
 
 
 @dataclass
@@ -48,8 +78,30 @@ class JobOutcome:
         return self.status == OK
 
 
-DispatchFn = Callable[[str, int, int], None]
-OutcomeFn = Callable[[JobOutcome], None]
+@dataclass
+class Task:
+    """One job record on its way through the supervisor."""
+
+    key: str
+    record: Dict[str, Any]
+    shard: int = 0                    # backlog index (mod backlog count)
+    attempts: int = 0
+    future: Optional[Future] = None   # streaming front end only
+
+
+#: (status, result record, error, failed with an InputError, seconds)
+Attempt = Tuple[str, Optional[Dict[str, Any]], Optional[str], bool, float]
+
+
+def _attempt(record: Dict[str, Any]) -> Attempt:
+    """Execute one job record, catching whatever it raises."""
+    start = time.perf_counter()
+    try:
+        result = execute_record(record)
+    except Exception as exc:  # crash isolation: report, keep serving
+        return (ERROR, None, f"{type(exc).__name__}: {exc}",
+                isinstance(exc, InputError), time.perf_counter() - start)
+    return OK, result, None, False, time.perf_counter() - start
 
 
 def _worker_main(worker_id: int, task_q, result_q) -> None:
@@ -58,16 +110,8 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
         item = task_q.get()
         if item is None:
             return
-        key, job_record = item
-        start = time.perf_counter()
-        try:
-            record = execute_record(job_record)
-            result_q.put((worker_id, key, OK, record, None,
-                          time.perf_counter() - start))
-        except Exception as exc:  # crash isolation: report, keep serving
-            result_q.put((worker_id, key, ERROR, None,
-                          f"{type(exc).__name__}: {exc}",
-                          time.perf_counter() - start))
+        key, record = item
+        result_q.put((worker_id, key) + _attempt(record))
 
 
 class SpawnWorker:
@@ -77,10 +121,9 @@ class SpawnWorker:
     means "shut down".
     """
 
-    def __init__(self, ctx, worker_id: int, result_q) -> None:
-        self.ctx = ctx
+    def __init__(self, ctx, worker_id: int, result_q,
+                 busy_seconds: float = 0.0) -> None:
         self.worker_id = worker_id
-        self.result_q = result_q
         self.task_q = ctx.SimpleQueue()
         self.process = ctx.Process(
             target=_worker_main,
@@ -88,25 +131,25 @@ class SpawnWorker:
             daemon=True,
         )
         self.process.start()
-        self.current: Optional[str] = None    # key being executed
+        self.current: Optional[Task] = None
         self.deadline: Optional[float] = None
-        self.busy_seconds = 0.0
-        self._started_at: Optional[float] = None
+        self.busy_seconds = busy_seconds
+        self._started_at = 0.0
 
-    def dispatch(self, key: str, job_record: Dict[str, Any],
-                 timeout: Optional[float]) -> None:
-        now = time.monotonic()
-        self.current = key
-        self._started_at = now
-        self.deadline = now + timeout if timeout else None
-        self.task_q.put((key, job_record))
+    def dispatch(self, task: Task, timeout: Optional[float]) -> None:
+        self._started_at = time.monotonic()
+        self.current = task
+        self.deadline = self._started_at + timeout if timeout else None
+        self.task_q.put((task.key, task.record))
 
-    def finish(self) -> None:
-        if self._started_at is not None:
-            self.busy_seconds += time.monotonic() - self._started_at
+    def finish(self) -> Task:
+        """Free the worker; returns the task it was running."""
+        task = self.current
+        assert task is not None
+        self.busy_seconds += time.monotonic() - self._started_at
         self.current = None
         self.deadline = None
-        self._started_at = None
+        return task
 
     def timed_out(self) -> bool:
         return (self.deadline is not None
@@ -127,171 +170,257 @@ class SpawnWorker:
         self.kill()
 
 
+DeliverFn = Callable[[Task, JobOutcome], None]
+DispatchedFn = Callable[[Task, int], None]
+
+
+class Supervisor:
+    """Runs tasks in process or on spawn workers; front ends feed it.
+
+    ``deliver(task, outcome)`` receives each task's terminal outcome;
+    ``dispatched(task, worker_id)`` fires as each attempt starts. Both run
+    on the thread driving the supervisor. ``stats`` counts terminal
+    outcomes by status, retries, and worker respawns.
+    """
+
+    def __init__(self, timeout: Optional[float], retries: int,
+                 deliver: DeliverFn,
+                 dispatched: Optional[DispatchedFn] = None) -> None:
+        self.timeout = timeout
+        self.retries = retries
+        self.deliver = deliver
+        self.dispatched = dispatched
+        self.stats = dict.fromkeys(
+            ("completed", "errors", "timeouts", "crashes", "retries",
+             "respawns"), 0)
+        self.workers: List[SpawnWorker] = []
+        self.inline_busy = 0.0
+        self._ctx: Any = None
+        self._result_q: Any = None
+
+    # -- settle ----------------------------------------------------------
+
+    def settle(self, task: Task, attempt: Attempt) -> bool:
+        """Retry a failed attempt (returns True) or deliver the outcome."""
+        status, result, error, input_error, elapsed = attempt
+        if status != OK and not input_error \
+                and task.attempts <= self.retries:
+            self.stats["retries"] += 1
+            return True
+        self.conclude(task, JobOutcome(task.key, status, result, error,
+                                       task.attempts, elapsed))
+        return False
+
+    def conclude(self, task: Task, outcome: JobOutcome) -> None:
+        """Count and deliver a terminal outcome."""
+        self.stats[_STAT[outcome.status]] += 1
+        self.deliver(task, outcome)
+
+    def _begin(self, task: Task, worker_id: int) -> None:
+        task.attempts += 1
+        if self.dispatched is not None:
+            self.dispatched(task, worker_id)
+
+    # -- in process --------------------------------------------------------
+
+    def run_inline(self, task: Task) -> None:
+        """Attempt ``task`` in this process until it settles."""
+        while True:
+            self._begin(task, 0)
+            attempt = _attempt(task.record)
+            self.inline_busy += attempt[4]
+            if not self.settle(task, attempt):
+                return
+
+    # -- worker processes --------------------------------------------------
+
+    def start(self, workers: int) -> None:
+        """Spawn ``workers`` worker processes."""
+        import multiprocessing
+
+        self._ctx = multiprocessing.get_context("spawn")
+        self._result_q = self._ctx.Queue()
+        self.workers = [SpawnWorker(self._ctx, wid, self._result_q)
+                        for wid in range(workers)]
+
+    def wake(self) -> None:
+        """End a :meth:`step` blocked waiting for results (thread-safe)."""
+        try:
+            self._result_q.put(None)
+        except (OSError, ValueError):  # closed: nothing left to wake
+            pass
+
+    def step(self, backlogs: Sequence[Deque[Task]], poll: float) -> None:
+        """One turn: feed idle workers, then settle one result or check
+        worker health after ``poll`` seconds without one.
+
+        Worker ``i`` takes from ``backlogs[i % len(backlogs)]``, and a
+        retried task goes back to ``backlogs[task.shard % len(backlogs)]``.
+        """
+        for worker in self.workers:
+            backlog = backlogs[worker.worker_id % len(backlogs)]
+            if worker.current is None and backlog:
+                task = backlog.popleft()
+                worker.dispatch(task, self.timeout)
+                self._begin(task, worker.worker_id)
+        try:
+            item = self._result_q.get(timeout=poll)
+        except queue.Empty:
+            self._check_health(backlogs)
+            return
+        if item is None:  # a wake-up
+            return
+        worker = self.workers[item[0]]
+        if worker.current is not None and worker.current.key == item[1]:
+            self._settle_into(backlogs, worker.finish(), item[2:])
+
+    def _settle_into(self, backlogs: Sequence[Deque[Task]], task: Task,
+                     attempt: Attempt) -> None:
+        if self.settle(task, attempt):
+            backlogs[task.shard % len(backlogs)].append(task)
+
+    def _check_health(self, backlogs: Sequence[Deque[Task]]) -> None:
+        """Kill hung workers, replace dead ones, and settle their tasks."""
+        for i, worker in enumerate(self.workers):
+            if worker.current is None:
+                continue
+            if worker.timed_out():
+                attempt: Attempt = (
+                    TIMEOUT, None, f"timed out after {self.timeout:.1f}s",
+                    False, self.timeout or 0.0)
+            elif not worker.process.is_alive():
+                attempt = (CRASHED, None, "worker process died (exit code "
+                           f"{worker.process.exitcode})", False, 0.0)
+            else:
+                continue
+            task = worker.finish()
+            worker.kill()
+            self.workers[i] = SpawnWorker(self._ctx, i, self._result_q,
+                                          worker.busy_seconds)
+            self.stats["respawns"] += 1
+            self._settle_into(backlogs, task, attempt)
+
+    def busy_seconds(self) -> List[float]:
+        """Seconds each worker (or the in-process loop) spent on jobs."""
+        if self.workers:
+            return [w.busy_seconds for w in self.workers]
+        return [self.inline_busy]
+
+    def close(self) -> List[Task]:
+        """Stop every worker; returns the tasks they were still running."""
+        running = [w.current for w in self.workers if w.current is not None]
+        for worker in self.workers:
+            worker.stop()
+        self._result_q.close()
+        self._result_q.join_thread()
+        return running
+
+
+DispatchFn = Callable[[str, int, int], None]
+OutcomeFn = Callable[[JobOutcome], None]
+
+
 class WorkerPool:
-    """Run jobs across N processes with timeout + retry + crash isolation."""
+    """Batch front end: run a dict of jobs across N processes."""
+
+    #: seconds between worker health checks while no result arrives
+    POLL = 0.05
 
     def __init__(self, workers: int = 1,
                  timeout: Optional[float] = None,
-                 retries: int = 1,
-                 start_method: str = "spawn") -> None:
+                 retries: int = 1) -> None:
         self.workers = max(1, int(workers))
         self.timeout = timeout
         self.retries = max(0, int(retries))
-        self.start_method = start_method
         self.worker_busy_seconds: List[float] = []
+        #: the last run's :attr:`Supervisor.stats`
+        self.stats: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-
-    def run(self, jobs: Dict[str, Job],
+    def run(self, jobs: Mapping[str, JobSpec],
             on_dispatch: Optional[DispatchFn] = None,
             on_outcome: Optional[OutcomeFn] = None
             ) -> Dict[str, JobOutcome]:
         """Execute every job; returns final outcomes keyed by job hash.
 
-        ``on_dispatch(key, worker_id, attempt)`` fires when a job starts
-        (attempt is 1-based); ``on_outcome`` fires once per job with its
-        terminal outcome. Both run in the supervisor process.
+        ``on_dispatch(key, worker_id, attempt)`` fires when an attempt
+        starts (1-based); ``on_outcome`` fires once per job with its
+        terminal outcome. Both run in the calling process. With one
+        worker the jobs run in this process, and timeouts are not
+        enforced.
         """
         if not jobs:
             return {}
-        if self.workers == 1 or not self._mp_usable():
-            return self._run_serial(jobs, on_dispatch, on_outcome)
-        return self._run_parallel(jobs, on_dispatch, on_outcome)
-
-    # ------------------------------------------------------------------
-    # serial fallback
-
-    def _run_serial(self, jobs: Dict[str, Job],
-                    on_dispatch: Optional[DispatchFn],
-                    on_outcome: Optional[OutcomeFn]
-                    ) -> Dict[str, JobOutcome]:
         outcomes: Dict[str, JobOutcome] = {}
-        busy = 0.0
-        for key, job in jobs.items():
-            attempts = 0
-            while True:
-                attempts += 1
-                if on_dispatch:
-                    on_dispatch(key, 0, attempts)
-                start = time.perf_counter()
-                try:
-                    record = execute_record(job.record())
-                    elapsed = time.perf_counter() - start
-                    busy += elapsed
-                    outcome = JobOutcome(key, OK, record, None, attempts,
-                                         elapsed)
-                    break
-                except Exception as exc:
-                    elapsed = time.perf_counter() - start
-                    busy += elapsed
-                    if attempts > self.retries:
-                        outcome = JobOutcome(
-                            key, ERROR, None,
-                            f"{type(exc).__name__}: {exc}", attempts,
-                            elapsed)
-                        break
-            outcomes[key] = outcome
+
+        def deliver(task: Task, outcome: JobOutcome) -> None:
+            outcomes[outcome.key] = outcome
             if on_outcome:
                 on_outcome(outcome)
-        self.worker_busy_seconds = [busy]
-        return outcomes
 
-    # ------------------------------------------------------------------
-    # parallel path
-
-    @staticmethod
-    def _mp_usable() -> bool:
-        try:
-            import multiprocessing
-            multiprocessing.get_context("spawn")
-            return True
-        except (ImportError, ValueError):  # pragma: no cover - exotic OS
-            return False
-
-    def _run_parallel(self, jobs: Dict[str, Job],
-                      on_dispatch: Optional[DispatchFn],
-                      on_outcome: Optional[OutcomeFn]
-                      ) -> Dict[str, JobOutcome]:
-        import multiprocessing
-        import queue as queue_mod
-
-        ctx = multiprocessing.get_context(self.start_method)
-        result_q = ctx.Queue()
-        records = {key: job.record() for key, job in jobs.items()}
-        attempts: Dict[str, int] = {key: 0 for key in jobs}
-        pending: List[str] = list(jobs)
-        outcomes: Dict[str, JobOutcome] = {}
-        n_workers = min(self.workers, len(jobs))
-        pool: List[SpawnWorker] = [
-            SpawnWorker(ctx, wid, result_q) for wid in range(n_workers)
-        ]
-
-        def dispatch_to(worker: SpawnWorker) -> None:
-            key = pending.pop(0)
-            attempts[key] += 1
-            worker.dispatch(key, records[key], self.timeout)
+        def dispatched(task: Task, worker_id: int) -> None:
             if on_dispatch:
-                on_dispatch(key, worker.worker_id, attempts[key])
+                on_dispatch(task.key, worker_id, task.attempts)
 
-        def settle(key: str, status: str, record, error: str,
-                   elapsed: float) -> None:
-            """Retry a failed attempt or record the terminal outcome."""
-            if status != OK and attempts[key] <= self.retries:
-                pending.append(key)
-                return
-            outcome = JobOutcome(key, status, record, error,
-                                 attempts[key], elapsed)
-            outcomes[key] = outcome
-            if on_outcome:
-                on_outcome(outcome)
-
-        try:
-            while len(outcomes) < len(jobs):
-                for worker in pool:
-                    if worker.current is None and pending:
-                        dispatch_to(worker)
-
-                try:
-                    wid, key, status, record, error, elapsed = \
-                        result_q.get(timeout=0.05)
-                except queue_mod.Empty:
-                    pass
-                else:
-                    worker = next(w for w in pool if w.worker_id == wid)
-                    if worker.current == key:
-                        worker.finish()
-                        settle(key, status, record, error, elapsed)
-                    continue  # drain results before health checks
-
-                # health checks: hung or dead workers
-                for i, worker in enumerate(pool):
-                    if worker.current is None:
-                        continue
-                    key = worker.current
-                    if worker.timed_out():
-                        worker.finish()
-                        worker.kill()
-                        pool[i] = self._respawn(ctx, worker, result_q)
-                        settle(key, TIMEOUT, None,
-                               f"timed out after {self.timeout:.1f}s",
-                               self.timeout or 0.0)
-                    elif not worker.process.is_alive():
-                        worker.finish()
-                        worker.kill()
-                        pool[i] = self._respawn(ctx, worker, result_q)
-                        settle(key, CRASHED, None,
-                               "worker process died "
-                               f"(exit code {worker.process.exitcode})",
-                               0.0)
-        finally:
-            self.worker_busy_seconds = [w.busy_seconds for w in pool]
-            for worker in pool:
-                worker.stop()
-            result_q.close()
-            result_q.join_thread()
+        core = Supervisor(self.timeout, self.retries, deliver, dispatched)
+        backlog = deque(Task(key, job.record()) for key, job in jobs.items())
+        if self.workers == 1:
+            for task in backlog:
+                core.run_inline(task)
+        else:
+            core.start(min(self.workers, len(backlog)))
+            try:
+                while len(outcomes) < len(jobs):
+                    core.step([backlog], self.POLL)
+            finally:
+                core.close()
+        self.worker_busy_seconds = core.busy_seconds()
+        self.stats = core.stats
         return outcomes
 
-    def _respawn(self, ctx, dead: SpawnWorker, result_q) -> SpawnWorker:
-        replacement = SpawnWorker(ctx, dead.worker_id, result_q)
-        replacement.busy_seconds = dead.busy_seconds
-        return replacement
+
+J = TypeVar("J", bound=JobSpec)
+
+
+def run_cached(jobs: Iterable[J], workers: int = 1,
+               timeout: Optional[float] = None,
+               cache_dir: Optional[str] = None,
+               progress: Optional[Callable[[J, JobOutcome], None]] = None
+               ) -> Tuple[List[Dict[str, Any]], List[Tuple[J, JobOutcome]],
+                          int]:
+    """Run ``jobs`` through a :class:`ResultStore` and a :class:`WorkerPool`.
+
+    Jobs with equal keys run once. Stored results whose ``schema``
+    matches the job's ``result_schema`` are served from ``cache_dir``;
+    the rest run on the pool and successes are stored. Returns
+    ``(results, failures, cache_hits)``: result records (cached ones
+    first), ``(job, outcome)`` for each failed job, and how many came
+    from the store. ``progress(job, outcome)`` fires per executed job.
+    """
+    from repro.campaign.store import ResultStore
+
+    store = ResultStore(cache_dir) if cache_dir else None
+    results: List[Dict[str, Any]] = []
+    failures: List[Tuple[J, JobOutcome]] = []
+    to_run: Dict[str, J] = {}
+    for job in {job.key(): job for job in jobs}.values():
+        cached = store.get(job) if store is not None else None
+        if cached is not None and cached.get("schema") == job.result_schema:
+            results.append(cached)
+        else:
+            to_run[job.key()] = job
+    hits = len(results)
+
+    def on_outcome(outcome: JobOutcome) -> None:
+        job = to_run[outcome.key]
+        if outcome.record is not None:  # status ok
+            results.append(outcome.record)
+            if store is not None:
+                store.put(job, outcome.record, outcome.elapsed)
+        else:
+            failures.append((job, outcome))
+        if progress:
+            progress(job, outcome)
+
+    WorkerPool(workers=workers, timeout=timeout).run(
+        to_run, on_outcome=on_outcome)
+    return results, failures, hits

@@ -1,7 +1,7 @@
 """Content-addressed on-disk result store.
 
 Entries live under ``root/<key[:2]>/<key>.json`` where ``key`` is the
-job's canonical SHA-256 (:meth:`repro.campaign.jobs.Job.key`). Each entry
+job's canonical SHA-256 (:meth:`repro.campaign.jobs.JobSpec.key`). Each entry
 stores the canonical job record alongside the lossless result record, so
 the store doubles as a self-describing experiment archive: any entry can
 be re-validated or re-executed from its own file.
@@ -20,9 +20,10 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.campaign.jobs import JOB_SCHEMA, Job
+from repro.campaign.jobs import JobSpec
 
-#: store layout version (independent of JOB_SCHEMA, which keys the hash)
+#: store layout version (independent of the job schemas, which key the
+#: hash)
 STORE_SCHEMA = 1
 
 
@@ -41,22 +42,28 @@ class ResultStore:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def __contains__(self, job: Job) -> bool:
+    def __contains__(self, job: JobSpec) -> bool:
         return self.path_for(job.key()).exists()
 
-    def get(self, job: Job) -> Optional[Dict[str, Any]]:
+    def get(self, job: JobSpec) -> Optional[Dict[str, Any]]:
         """The stored result record, or None (counting a miss).
 
         A corrupt or mismatched entry is evicted and reported as a miss —
         callers recompute, they never crash on a bad cache file.
         """
-        key = job.key()
+        return self.lookup(job.key(), job.header())
+
+    def lookup(self, key: str, header: Dict[str, Any]
+               ) -> Optional[Dict[str, Any]]:
+        """:meth:`get` by bare key, for an entry whose job record starts
+        with ``header`` (see :meth:`JobSpec.header`)."""
         path = self.path_for(key)
         try:
             with open(path, encoding="utf-8") as fh:
                 entry = json.load(fh)
             if entry["key"] != key or entry["schema"] != STORE_SCHEMA \
-                    or entry["job"]["schema"] != JOB_SCHEMA:
+                    or any(entry["job"].get(k) != v
+                           for k, v in header.items()):
                 raise ValueError("stale or mismatched entry")
             result = entry["result"]
             if not isinstance(result, dict):
@@ -64,7 +71,7 @@ class ResultStore:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, TypeError, OSError):
+        except (ValueError, KeyError, TypeError, AttributeError, OSError):
             self.evictions += 1
             self.misses += 1
             try:
@@ -75,7 +82,7 @@ class ResultStore:
         self.hits += 1
         return result
 
-    def put(self, job: Job, result: Dict[str, Any],
+    def put(self, job: JobSpec, result: Dict[str, Any],
             elapsed: Optional[float] = None) -> Path:
         """Atomically persist one result record; returns its path."""
         key = job.key()

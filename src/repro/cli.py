@@ -730,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--timeout", type=float, default=None,
                        help="per-job timeout in seconds (parallel only)")
     rep_p.add_argument("--retries", type=int, default=1,
-                       help="retries per failed job (parallel only)")
+                       help="retries per failed job (parallel only; input "
+                            "errors are never retried)")
     rep_p.add_argument("--quiet", action="store_true",
                        help="suppress per-job progress lines")
     rep_p.add_argument("--profile", action="store_true",
@@ -769,7 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     crun_p.add_argument("--timeout", type=float, default=None,
                         help="per-job timeout in seconds")
     crun_p.add_argument("--retries", type=int, default=1,
-                        help="retries per failed job")
+                        help="retries per failed job (input errors are "
+                             "never retried)")
     crun_p.add_argument("--retry-failed", action="store_true",
                         help="re-queue jobs a previous run marked failed")
     crun_p.add_argument("--report", default=None, metavar="FILE",
@@ -916,7 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv_p.add_argument("--timeout", type=float, default=120.0,
                        help="per-job replay timeout (seconds)")
     srv_p.add_argument("--retries", type=int, default=1,
-                       help="retries for timed-out/crashed jobs")
+                       help="retries per failed job (input errors such as "
+                            "a malformed job spec are never retried)")
     srv_p.add_argument("--high-water", type=int, default=64,
                        help="queue depth past which submissions get 429")
     srv_p.add_argument("--rate", type=float, default=50.0,

@@ -5,7 +5,15 @@ class ReproError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ConfigError(ReproError):
+class InputError(ReproError):
+    """The caller's input is malformed; running it again cannot succeed.
+
+    Job supervisors never retry an attempt that failed with one, and the
+    detection service answers it with a 4xx at admission.
+    """
+
+
+class ConfigError(InputError):
     """An invalid hardware or detector configuration was supplied."""
 
 
@@ -17,7 +25,7 @@ class SimulationError(ReproError):
     """The simulator reached an internally inconsistent state."""
 
 
-class TraceFormatError(ReproError, ValueError):
+class TraceFormatError(InputError, ValueError):
     """A HART trace file is truncated, corrupt, or of an unknown version.
 
     Everything that parses traces raises this (never bare ``struct.error``

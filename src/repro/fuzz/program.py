@@ -34,10 +34,20 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.common.errors import InputError
 from repro.gpu.kernel import Kernel
 
 #: bump when program semantics change (part of every content hash)
 PROGRAM_SCHEMA = 1
+
+#: the statement vocabulary; both interpreters (:func:`_fuzz_kernel` and
+#: :func:`repro.analyze.lower.thread_ops`) handle exactly these ops
+FUZZ_OPS = frozenset({"g", "s", "byte", "tree", "locked", "div",
+                      "barrier", "fence"})
+
+
+class ProgramError(InputError, ValueError):
+    """A program spec names a statement op outside :data:`FUZZ_OPS`."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,11 @@ class FuzzProgram:
     #: produce "granularity" false positives by design)
     expected_fp_labels: tuple = ()
     note: str = ""
+
+    def __post_init__(self) -> None:
+        for st in self.stmts:
+            if st.get("op") not in FUZZ_OPS:
+                raise ProgramError(f"unknown fuzz op {st.get('op')!r}")
 
     @property
     def total_threads(self) -> int:
@@ -208,14 +223,12 @@ def _fuzz_kernel(ctx, g, bbin, locks, program: FuzzProgram):
                 yield ctx.threadfence()
             if not naked:
                 yield ctx.unlock(locks, lock_idx)
-        elif op == "div":
+        else:  # "div"
             if ctx.lane < 16:
                 yield ctx.store(g, st["base"] + ctx.global_tid,
                                 float(ctx.lane))
             else:
                 yield ctx.compute(1)
-        else:
-            raise ValueError(f"unknown fuzz op {op!r}")
 
 
 def make_kernel(program: FuzzProgram) -> Kernel:

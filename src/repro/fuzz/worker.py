@@ -3,8 +3,8 @@
 A :class:`FuzzJob` is the content-addressed spec of one iteration —
 base seed, iteration index, generator parameters, and mode names. Its
 record carries ``kind: "fuzz"`` so the campaign pool dispatches it to
-:func:`execute_fuzz_record` (see ``repro.campaign.jobs.JOB_EXECUTORS``),
-and the campaign :class:`~repro.campaign.store.ResultStore` caches the
+:func:`execute_fuzz_record`, and the campaign
+:class:`~repro.campaign.store.ResultStore` caches the
 iteration verdicts exactly like benchmark cells: re-running a campaign
 replays cached iterations instantly and a killed run resumes where it
 stopped.
@@ -16,12 +16,10 @@ and two identical invocations produce identical corpus digests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.jobs import JOB_SCHEMA, JobSpecError
+from repro.campaign.jobs import JobSpec
 from repro.fuzz.corpus import CorpusStore, corpus_digest
 from repro.fuzz.generator import GeneratorParams, generate_program
 from repro.fuzz.harness import ITERATION_SCHEMA, mode_by_name, run_iteration
@@ -31,8 +29,12 @@ FUZZ_SCHEMA = 3
 
 
 @dataclass(frozen=True)
-class FuzzJob:
+class FuzzJob(JobSpec):
     """One content-addressed fuzz iteration."""
+
+    kind = "fuzz"
+    schemas = {"fuzz_schema": FUZZ_SCHEMA}
+    result_schema = ITERATION_SCHEMA
 
     seed: int
     index: int
@@ -45,36 +47,6 @@ class FuzzJob:
     @property
     def iteration_seed(self) -> int:
         return self.seed + self.index
-
-    def record(self) -> Dict[str, Any]:
-        return {
-            "schema": JOB_SCHEMA,
-            "kind": "fuzz",
-            "fuzz_schema": FUZZ_SCHEMA,
-            "seed": self.seed,
-            "index": self.index,
-            "params": self.params.record(),
-            "modes": list(self.modes),
-            "static_prefilter": self.static_prefilter,
-        }
-
-    def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "FuzzJob":
-        if record.get("schema") != JOB_SCHEMA or \
-                record.get("kind") != "fuzz":
-            raise JobSpecError(f"not a fuzz job record: {record.get('kind')!r}")
-        return cls(
-            seed=int(record["seed"]),
-            index=int(record["index"]),
-            params=GeneratorParams.from_record(record["params"]),
-            modes=tuple(record["modes"]),
-            static_prefilter=bool(record.get("static_prefilter", False)),
-        )
 
     def describe(self) -> str:
         return f"fuzz[{self.index}] seed={self.iteration_seed}"
@@ -104,7 +76,7 @@ def _prefilter_record(program, report) -> Dict[str, Any]:
 
 
 def execute_fuzz_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-side entry point (see ``JOB_EXECUTORS['fuzz']``)."""
+    """Worker-side entry point for job kind ``fuzz``."""
     job = FuzzJob.from_record(record)
     program = generate_program(job.iteration_seed, job.params)
     if job.static_prefilter and not program.expected \
@@ -205,49 +177,20 @@ def run_fuzz_campaign(seed: int, iterations: int,
     analyzer proves race-free (the flag participates in job keys, so
     prefiltered and full campaigns never share cache entries).
     """
-    from repro.campaign.pool import WorkerPool
-    from repro.campaign.store import ResultStore
+    from repro.campaign.pool import run_cached
 
     params = params or GeneratorParams()
-    jobs = {job.key(): job for job in
-            (FuzzJob(seed, i, params, tuple(modes), static_prefilter)
-             for i in range(iterations))}
-    store = ResultStore(cache_dir) if cache_dir else None
-
     result = FuzzCampaignResult()
-    by_key: Dict[str, Dict[str, Any]] = {}
-    to_run: Dict[str, FuzzJob] = {}
-    for key, job in jobs.items():
-        cached = store.get(job) if store is not None else None
-        if cached is not None and cached.get("schema") == ITERATION_SCHEMA:
-            by_key[key] = cached
-            result.cache_hits += 1
-        else:
-            to_run[key] = job
-
-    if to_run:
-        pool = WorkerPool(workers=workers, timeout=timeout)
-
-        def on_outcome(outcome) -> None:
-            job = to_run[outcome.key]
-            if outcome.ok:
-                by_key[outcome.key] = outcome.record
-                if store is not None:
-                    store.put(job, outcome.record, outcome.elapsed)
-            else:
-                result.failures.append({
-                    "index": job.index,
-                    "iteration_seed": job.iteration_seed,
-                    "status": outcome.status,
-                    "error": outcome.error,
-                })
-            if progress:
-                progress(job, outcome)
-
-        pool.run(to_run, on_outcome=on_outcome)
-
-    result.iterations = sorted(by_key.values(),
-                               key=lambda r: r.get("index", 0))
+    records, failed, result.cache_hits = run_cached(
+        (FuzzJob(seed, i, params, tuple(modes), static_prefilter)
+         for i in range(iterations)),
+        workers=workers, timeout=timeout, cache_dir=cache_dir,
+        progress=progress)
+    result.failures = [{"index": job.index,
+                        "iteration_seed": job.iteration_seed,
+                        "status": outcome.status, "error": outcome.error}
+                       for job, outcome in failed]
+    result.iterations = sorted(records, key=lambda r: r.get("index", 0))
     result.digest = corpus_digest(result.iterations)
 
     corpus = CorpusStore(corpus_dir) if corpus_dir else None

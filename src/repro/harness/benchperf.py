@@ -22,15 +22,14 @@ diffs it against the previous record with ``tools/bench_compare.py``):
   (``repro fuzz --gpus 2 --static-prefilter``), plus the speedup over
   the same pinned seed band run fully dynamic.
 
-Each measurement is a :class:`PerfJob` — a content-addressed job record
-(kind ``"perf"``) registered in the campaign executor table, so perf
-cells can also ride the campaign pool/cache like any other job kind.
+Each measurement is a :class:`PerfJob` — a content-addressed job spec
+whose record names the cell in the BENCH file; :func:`measure` runs it
+in-process.
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import platform
 import sys
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.common.errors import ConfigError
+from repro.campaign.jobs import JobSpec, JobSpecError
 
 #: bump whenever the perf record shape changes
 PERF_SCHEMA = 1
@@ -73,16 +72,16 @@ _PREFILTER_BAND = (0, 12)
 _PREFILTER_BAND_QUICK = (0, 6)
 
 
-class PerfSpecError(ConfigError):
-    """A perf job record is malformed."""
+class PerfSpecError(JobSpecError):
+    """A perf job spec or BENCH record is malformed."""
 
 
 # ---------------------------------------------------------------------------
-# the "perf" job kind
+# measurement cells
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PerfJob:
+class PerfJob(JobSpec):
     """One content-addressed perf measurement cell.
 
     ``metric`` selects the measurement:
@@ -94,7 +93,12 @@ class PerfJob:
       value = events/s through that backend;
     - ``"multigpu"`` — run multi-GPU ``bench`` at ``scale`` on ``gpus``
       devices (detector + oracle attached); value = cross-GPU events/s.
+
+    Its record is the ``job`` field of each measurement in the BENCH file.
     """
+
+    kind = "perf"
+    schema = PERF_SCHEMA
 
     metric: str
     bench: str = ""
@@ -114,36 +118,6 @@ class PerfJob:
         if self.repeats < 1:
             raise PerfSpecError("repeats must be >= 1")
 
-    def record(self) -> Dict[str, Any]:
-        return {
-            "schema": PERF_SCHEMA,
-            "kind": "perf",
-            "metric": self.metric,
-            "bench": self.bench,
-            "scale": float(self.scale),
-            "seed": int(self.seed),
-            "backend": self.backend,
-            "repeats": int(self.repeats),
-            "gpus": int(self.gpus),
-        }
-
-    def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "PerfJob":
-        if record.get("schema") != PERF_SCHEMA:
-            raise PerfSpecError(
-                f"perf schema {record.get('schema')!r} != {PERF_SCHEMA}")
-        return cls(metric=record["metric"], bench=record.get("bench", ""),
-                   scale=float(record.get("scale", 1.0)),
-                   seed=int(record.get("seed", 0)),
-                   backend=record.get("backend", ""),
-                   repeats=int(record.get("repeats", 1)),
-                   gpus=int(record.get("gpus", 2)))
-
     def describe(self) -> str:
         if self.metric == "simulate":
             return f"simulate {self.bench}@{self.scale}"
@@ -154,9 +128,8 @@ class PerfJob:
         return f"replay {self.bench}@{self.scale} via {self.backend}"
 
 
-def execute_perf_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-side entry point for the ``"perf"`` job kind."""
-    job = PerfJob.from_record(record)
+def measure(job: PerfJob) -> Dict[str, Any]:
+    """Run one cell ``job.repeats`` times; the fastest attempt wins."""
     best: Optional[Dict[str, Any]] = None
     for _ in range(job.repeats):
         out = _measure_once(job)
@@ -279,9 +252,9 @@ def _section_simulate(quick: bool) -> Dict[str, Any]:
     total_events = 0
     total_elapsed = 0.0
     for bench, scale in cells:
-        out = execute_perf_record(
+        out = measure(
             PerfJob("simulate", bench=bench, scale=scale,
-                    repeats=1 if quick else 3).record())
+                    repeats=1 if quick else 3))
         runs.append({"bench": bench, "scale": scale,
                      "events": out["events"],
                      "elapsed": round(out["elapsed"], 6),
@@ -301,7 +274,7 @@ def _section_fuzz(quick: bool) -> Dict[str, Any]:
     elapsed = 0.0
     real_bugs = 0
     for seed in seeds:
-        out = execute_perf_record(PerfJob("fuzz", seed=seed).record())
+        out = measure(PerfJob("fuzz", seed=seed))
         elapsed += out["elapsed"]
         real_bugs += out["real_bugs"]
     return {
@@ -321,9 +294,9 @@ def _section_replay(quick: bool) -> Dict[str, Any]:
     events = 0
     total_elapsed = 0.0
     for name in _TIMED_BACKENDS:
-        out = execute_perf_record(
+        out = measure(
             PerfJob("replay", bench=bench, scale=scale, backend=name,
-                    repeats=1 if quick else 3).record())
+                    repeats=1 if quick else 3))
         events = out["events"]
         total_elapsed += out["elapsed"]
         backends[name] = {"elapsed": round(out["elapsed"], 6),
@@ -348,9 +321,9 @@ def _section_multigpu(quick: bool) -> Dict[str, Any]:
     total_events = 0
     total_elapsed = 0.0
     for bench, gpus, scale in cells:
-        out = execute_perf_record(
+        out = measure(
             PerfJob("multigpu", bench=bench, scale=scale, gpus=gpus,
-                    repeats=1 if quick else 3).record())
+                    repeats=1 if quick else 3))
         runs.append({"bench": bench, "gpus": gpus, "scale": scale,
                      "events": out["events"],
                      "contradictions": out["contradictions"],

@@ -5,17 +5,15 @@ campaigns) executes a registered multi-GPU benchmark: it builds the
 system, runs every phase, and finalizes into a :class:`MultiGPUResult`.
 
 :class:`MGJob` + :func:`execute_mg_record` ride the campaign engine's
-workers/cache/retry machinery under job kind ``"multigpu"`` (see
-``repro.campaign.jobs.JOB_EXECUTORS``).
+workers/cache/retry machinery under job kind ``"multigpu"``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.campaign.jobs import JobSpec
 from repro.common.config import GPUConfig, HAccRGConfig
 from repro.multigpu.bench import get_mg_benchmark
 from repro.multigpu.system import MultiGPUResult, MultiGPUSimulator
@@ -63,8 +61,11 @@ def run_mg_benchmark(name: str,
 
 
 @dataclass(frozen=True)
-class MGJob:
+class MGJob(JobSpec):
     """One content-addressed multi-GPU benchmark cell."""
+
+    kind = "multigpu"
+    schemas = {"mg_schema": MG_SCHEMA}
 
     bench: str
     gpus: int = 2
@@ -74,44 +75,6 @@ class MGJob:
     detect: bool = True        #: attach per-device HAccRG detectors
     timing_enabled: bool = True
     verify: bool = False
-
-    def record(self) -> Dict[str, Any]:
-        from repro.campaign.jobs import JOB_SCHEMA
-        return {
-            "schema": JOB_SCHEMA,
-            "kind": "multigpu",
-            "mg_schema": MG_SCHEMA,
-            "bench": self.bench,
-            "gpus": self.gpus,
-            "scale": self.scale,
-            "seed": self.seed,
-            "injection": self.injection,
-            "detect": self.detect,
-            "timing_enabled": self.timing_enabled,
-            "verify": self.verify,
-        }
-
-    def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "MGJob":
-        from repro.campaign.jobs import JobSpecError
-        if record.get("kind") != "multigpu":
-            raise JobSpecError(
-                f"not a multigpu job record: {record.get('kind')!r}")
-        return cls(
-            bench=str(record["bench"]),
-            gpus=int(record["gpus"]),
-            scale=float(record["scale"]),
-            seed=int(record["seed"]),
-            injection=str(record["injection"]),
-            detect=bool(record["detect"]),
-            timing_enabled=bool(record["timing_enabled"]),
-            verify=bool(record["verify"]),
-        )
 
     def describe(self) -> str:
         suffix = f"+{self.injection}" if self.injection else ""

@@ -3,16 +3,17 @@
 Three layers, mirroring the campaign engine's fault semantics but shaped
 for a long-running service instead of a batch run:
 
-- :class:`ShardedWorkerPool` keeps N persistent ``spawn`` worker
-  processes alive (reusing :mod:`repro.campaign.pool`'s worker loop) and
-  streams jobs to them as they arrive. Jobs shard by trace digest, so
-  all verdicts for one trace land on one worker — deterministic
-  affinity, no two workers ever replaying the same upload concurrently.
-  The supervisor thread enforces per-job wall-clock timeouts (kill +
-  respawn), bounded retries, and crash isolation: a worker that dies
-  mid-job fails that job, never the service. ``workers=0`` degrades to
-  an in-process thread executor with the same retry semantics (no
-  timeout kill or crash isolation without a process boundary).
+- :class:`ShardedWorkerPool` is the streaming front end on the job
+  supervisor (:class:`repro.campaign.pool.Supervisor`): N persistent
+  ``spawn`` workers receive jobs as they arrive. Jobs shard by trace
+  digest, so all verdicts for one trace land on one worker —
+  deterministic affinity, no two workers ever replaying the same upload
+  concurrently. A supervisor thread drives the timeout kill + respawn,
+  the bounded retry of everything but input errors, and crash
+  isolation: a worker that dies mid-job fails that job, never the
+  service. ``workers=0`` runs jobs in process on a thread pool with the
+  same retry rule (no timeout kill or crash isolation without a process
+  boundary).
 
 - :class:`TokenBucket` is the per-client rate limiter: ``rate`` tokens
   per second, ``burst`` capacity; an empty bucket yields 429 with a
@@ -33,19 +34,12 @@ import itertools
 import queue as stdqueue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.campaign.jobs import execute_record
-from repro.campaign.pool import (
-    CRASHED,
-    ERROR,
-    OK,
-    TIMEOUT,
-    JobOutcome,
-    SpawnWorker,
-)
+from repro.campaign.pool import ERROR, JobOutcome, Supervisor, Task
 from repro.common.errors import ReproError
 from repro.serve.verdicts import VerdictCache
 from repro.serve.worker import ReplayJob
@@ -93,35 +87,30 @@ class TokenBucket:
 # worker pool
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Task:
-    key: str
-    record: Dict[str, Any]
-    shard: int
-    future: Future
-    attempts: int = 0
-    last_elapsed: float = 0.0
-
-
 class ShardedWorkerPool:
-    """Persistent spawn workers with shard-by-digest dispatch."""
+    """Streaming front end on the job supervisor, shard-by-digest dispatch.
+
+    Worker ``i`` takes only jobs whose shard hint maps to ``i``, so all
+    jobs for one trace land on one worker. ``workers=0`` runs each job in
+    process on a small thread pool, off the caller's (event-loop) thread.
+    """
+
+    #: seconds between worker health checks while nothing arrives
+    POLL = 0.02
 
     def __init__(self, workers: int = 2,
                  timeout: Optional[float] = None,
-                 retries: int = 1,
-                 start_method: str = "spawn") -> None:
+                 retries: int = 1) -> None:
         self.workers = max(0, int(workers))
-        self.timeout = timeout
-        self.retries = max(0, int(retries))
-        self.start_method = start_method
-        self._inbox: "stdqueue.Queue[Optional[_Task]]" = stdqueue.Queue()
+        self._core = Supervisor(timeout, max(0, int(retries)),
+                                self._deliver)
+        self.stats = self._core.stats
+        self._inbox: "stdqueue.SimpleQueue[Task]" = stdqueue.SimpleQueue()
         self._depth = 0
         self._depth_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self.stats = {"completed": 0, "errors": 0, "timeouts": 0,
-                      "crashes": 0, "retries": 0, "respawns": 0}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -130,17 +119,18 @@ class ShardedWorkerPool:
             self._executor = ThreadPoolExecutor(
                 max_workers=2, thread_name_prefix="serve-inline")
             return
-        self._thread = threading.Thread(target=self._supervise,
+        self._core.start(self.workers)
+        self._thread = threading.Thread(target=self._drive,
                                         name="serve-pool", daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
+        self._stop.set()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
         if self._thread is not None:
-            self._stop.set()
-            self._inbox.put(None)
+            self._core.wake()
             self._thread.join(timeout=30)
             self._thread = None
 
@@ -156,164 +146,48 @@ class ShardedWorkerPool:
         """Enqueue one job record; the future resolves to its outcome."""
         if self._stop.is_set():
             raise RuntimeError("worker pool is stopped")
+        shard = int(shard_hint[:16] or "0", 16) if shard_hint else 0
         future: "Future[JobOutcome]" = Future()
+        task = Task(key, record, shard, future=future)
         with self._depth_lock:
             self._depth += 1
-        future.add_done_callback(self._on_done)
         if self._executor is not None:
-            self._executor.submit(self._run_inline, key, record, future)
+            self._executor.submit(self._core.run_inline, task)
         else:
-            shard = int(shard_hint[:16] or "0", 16) if shard_hint else 0
-            self._inbox.put(_Task(key, record, shard, future))
+            self._inbox.put(task)
+            self._core.wake()
         return future
 
-    def _on_done(self, future: "Future[JobOutcome]") -> None:
+    def _deliver(self, task: Task, outcome: JobOutcome) -> None:
         with self._depth_lock:
             self._depth -= 1
-        try:
-            outcome = future.result()
-        except Exception:
-            self.stats["errors"] += 1
-            return
-        if outcome.ok:
-            self.stats["completed"] += 1
-        elif outcome.status == TIMEOUT:
-            self.stats["timeouts"] += 1
-        elif outcome.status == CRASHED:
-            self.stats["crashes"] += 1
-        else:
-            self.stats["errors"] += 1
+        if task.future is not None and not task.future.done():
+            task.future.set_result(outcome)
 
-    # -- inline mode (workers == 0) ------------------------------------
-
-    def _run_inline(self, key: str, record: Dict[str, Any],
-                    future: "Future[JobOutcome]") -> None:
-        attempts = 0
-        while True:
-            attempts += 1
-            start = time.perf_counter()
-            try:
-                result = execute_record(record)
-                future.set_result(JobOutcome(
-                    key, OK, result, None, attempts,
-                    time.perf_counter() - start))
-                return
-            except Exception as exc:  # noqa: BLE001 - crash isolation
-                if attempts <= self.retries:
-                    self.stats["retries"] += 1
-                    continue
-                future.set_result(JobOutcome(
-                    key, ERROR, None, f"{type(exc).__name__}: {exc}",
-                    attempts, time.perf_counter() - start))
-                return
-
-    # -- process mode supervisor ---------------------------------------
-
-    def _supervise(self) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context(self.start_method)
-        result_q = ctx.Queue()
-        pool: List[SpawnWorker] = [SpawnWorker(ctx, wid, result_q)
-                               for wid in range(self.workers)]
-        backlog: List[List[_Task]] = [[] for _ in range(self.workers)]
-        active: Dict[int, _Task] = {}
-
-        def settle(wid: int, task: _Task, status: str, record, error,
-                   elapsed: float) -> None:
-            task.last_elapsed = elapsed
-            if status != OK and task.attempts <= self.retries:
-                self.stats["retries"] += 1
-                backlog[task.shard % self.workers].append(task)
-                return
-            task.future.set_result(JobOutcome(
-                task.key, status, record, error, task.attempts, elapsed))
-
-        def respawn(i: int) -> None:
-            dead = pool[i]
-            dead.kill()
-            replacement = SpawnWorker(ctx, dead.worker_id, result_q)
-            replacement.busy_seconds = dead.busy_seconds
-            pool[i] = replacement
-            self.stats["respawns"] += 1
-
+    def _drive(self) -> None:
+        backlogs: List[Deque[Task]] = [deque() for _ in range(self.workers)]
         try:
             while not self._stop.is_set():
-                # 1. pull new submissions into their shard's backlog
-                try:
-                    item = self._inbox.get(timeout=0.02)
-                    while item is not None:
-                        backlog[item.shard % self.workers].append(item)
-                        item = self._inbox.get_nowait()
-                except stdqueue.Empty:
-                    pass
-
-                # 2. dispatch to idle workers
-                for i, worker in enumerate(pool):
-                    if worker.current is None and backlog[i]:
-                        task = backlog[i].pop(0)
-                        task.attempts += 1
-                        active[i] = task
-                        worker.dispatch(task.key, task.record, self.timeout)
-
-                # 3. drain results
-                try:
-                    wid, key, status, record, error, elapsed = \
-                        result_q.get(timeout=0.02)
-                except stdqueue.Empty:
-                    pass
-                else:
-                    idx = next((i for i, w in enumerate(pool)
-                                if w.worker_id == wid), None)
-                    if idx is not None and pool[idx].current == key:
-                        task = active.pop(idx)
-                        pool[idx].finish()
-                        settle(wid, task, status, record, error, elapsed)
-                    continue  # drain before health checks
-
-                # 4. health: hung or dead workers
-                for i, worker in enumerate(pool):
-                    if worker.current is None:
-                        continue
-                    task = active.get(i)
-                    if task is None:  # pragma: no cover - defensive
-                        continue
-                    if worker.timed_out():
-                        worker.finish()
-                        respawn(i)
-                        active.pop(i, None)
-                        settle(i, task, TIMEOUT, None,
-                               f"timed out after {self.timeout:.1f}s",
-                               self.timeout or 0.0)
-                    elif not worker.process.is_alive():
-                        exitcode = worker.process.exitcode
-                        worker.finish()
-                        respawn(i)
-                        active.pop(i, None)
-                        settle(i, task, CRASHED, None,
-                               f"worker process died (exit code {exitcode})",
-                               0.0)
+                self._pull_inbox(backlogs)
+                self._core.step(backlogs, self.POLL)
         finally:
-            for worker in pool:
-                worker.stop()
             # fail anything still owed an answer: futures must resolve
-            leftovers = list(active.values())
-            for shard_tasks in backlog:
-                leftovers.extend(shard_tasks)
-            while True:
-                try:
-                    item = self._inbox.get_nowait()
-                except stdqueue.Empty:
-                    break
-                if item is not None:
-                    leftovers.append(item)
+            leftovers = self._core.close()
+            self._pull_inbox(backlogs)
+            for backlog in backlogs:
+                leftovers.extend(backlog)
             for task in leftovers:
-                if not task.future.done():
-                    task.future.set_result(JobOutcome(
-                        task.key, ERROR, None, "service shutting down",
-                        task.attempts, 0.0))
-            result_q.close()
-            result_q.join_thread()
+                self._core.conclude(task, JobOutcome(
+                    task.key, ERROR, None, "service shutting down",
+                    task.attempts, 0.0))
+
+    def _pull_inbox(self, backlogs: List[Deque[Task]]) -> None:
+        while True:
+            try:
+                task = self._inbox.get_nowait()
+            except stdqueue.Empty:
+                return
+            backlogs[task.shard % len(backlogs)].append(task)
 
 
 # ---------------------------------------------------------------------------

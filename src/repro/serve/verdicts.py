@@ -13,13 +13,12 @@ key is known; it applies the same validation as the keyed read.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, Optional
 
-from repro.campaign.store import STORE_SCHEMA, ResultStore
+from repro.campaign.store import ResultStore
 from repro.serve.backends import verdict_bytes
-from repro.serve.worker import REPLAY_JOB_SCHEMA, ReplayJob
+from repro.serve.worker import ReplayJob
 
 
 class VerdictCache:
@@ -31,64 +30,23 @@ class VerdictCache:
     # ------------------------------------------------------------------
 
     def get(self, job: ReplayJob) -> Optional[Dict[str, Any]]:
-        return self._get_key(job.key())
+        return self.store.get(job)
 
     def put(self, job: ReplayJob, verdict: Dict[str, Any],
             elapsed: Optional[float] = None) -> None:
-        self.store.put(_Keyed(job), verdict, elapsed=elapsed)
+        self.store.put(job, verdict, elapsed=elapsed)
 
     def get_by_key(self, key: str) -> Optional[Dict[str, Any]]:
         """Lookup by bare verdict key (the public /verdicts/{digest})."""
-        return self._get_key(key)
+        return self.store.lookup(key, ReplayJob.header())
 
     def get_bytes(self, key: str) -> Optional[bytes]:
         """The canonical wire bytes of a cached verdict, or None."""
-        record = self._get_key(key)
+        record = self.get_by_key(key)
         return verdict_bytes(record) if record is not None else None
-
-    # ------------------------------------------------------------------
-
-    def _get_key(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self.store.path_for(key)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-            if entry["key"] != key or entry["schema"] != STORE_SCHEMA \
-                    or entry["job"]["schema"] != REPLAY_JOB_SCHEMA \
-                    or entry["job"].get("kind") != "replay":
-                raise ValueError("stale or mismatched verdict entry")
-            result = entry["result"]
-            if not isinstance(result, dict):
-                raise ValueError("malformed verdict record")
-        except FileNotFoundError:
-            self.store.misses += 1
-            return None
-        except (ValueError, KeyError, TypeError, OSError):
-            self.store.evictions += 1
-            self.store.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.store.hits += 1
-        return result
 
     def stats(self) -> Dict[str, int]:
         return self.store.stats()
 
     def __len__(self) -> int:
         return len(self.store)
-
-
-class _Keyed:
-    """Adapter giving ResultStore.put the Job interface for a ReplayJob."""
-
-    def __init__(self, job: ReplayJob) -> None:
-        self._job = job
-
-    def key(self) -> str:
-        return self._job.key()
-
-    def record(self) -> Dict[str, Any]:
-        return self._job.record()

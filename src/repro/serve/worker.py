@@ -11,17 +11,19 @@ in the hash — keys are host-independent.
 
 ``execute_replay_record`` is registered under job kind ``"replay"`` in
 :data:`repro.campaign.jobs.JOB_EXECUTORS`, so service jobs run on the
-exact same worker machinery (timeout, retry, crash isolation) as
-campaign cells.
+same supervisor core (timeout, retry, crash isolation) as campaign
+cells.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.campaign.jobs import JobSpec, JobSpecError
 from repro.common.errors import TraceFormatError
 from repro.serve.backends import (
     canonical_json,
@@ -34,41 +36,39 @@ REPLAY_JOB_SCHEMA = 1
 
 
 @dataclass(frozen=True)
-class ReplayJob:
+class ReplayJob(JobSpec):
     """One (trace, backend[, program]) replay request."""
+
+    kind = "replay"
+    schema = REPLAY_JOB_SCHEMA
 
     trace: str                               # content digest of the trace
     backend: str                             # resolved backend name
     trace_path: str                          # where the worker reads bytes
     program: Optional[str] = None            # canonical JSON program record
 
+    def __post_init__(self) -> None:
+        # fail at construction, not in key(): the backend must exist and
+        # the program must be a JSON object
+        get_backend(self.backend)
+        if not isinstance(self.program_record(), (dict, type(None))):
+            raise JobSpecError("a replay job's program must be an object")
+
     @classmethod
     def create(cls, trace_digest: str, backend_name: str,
                trace_path: os.PathLike | str,
                program_record: Optional[Dict[str, Any]] = None
                ) -> "ReplayJob":
-        backend = get_backend(backend_name)   # raises BackendError early
         return cls(
             trace=trace_digest,
-            backend=backend.name,
+            backend=get_backend(backend_name).name,
             trace_path=str(trace_path),
             program=(canonical_json(program_record)
                      if program_record is not None else None),
         )
 
     def program_record(self) -> Optional[Dict[str, Any]]:
-        import json
         return json.loads(self.program) if self.program is not None else None
-
-    def record(self) -> Dict[str, Any]:
-        return {
-            "kind": "replay",
-            "schema": REPLAY_JOB_SCHEMA,
-            "trace": self.trace,
-            "backend": self.backend,
-            "program": self.program,
-            "trace_path": self.trace_path,
-        }
 
     def key(self) -> str:
         """The verdict-cache key (trace_path intentionally excluded)."""
@@ -89,23 +89,16 @@ def execute_replay_record(record: Dict[str, Any]) -> Dict[str, Any]:
     from repro.harness.trace import parse_trace
     from repro.serve.backends import trace_digest as digest_of
 
-    if record.get("schema") != REPLAY_JOB_SCHEMA:
-        raise ValueError(
-            f"replay job schema {record.get('schema')!r} != "
-            f"{REPLAY_JOB_SCHEMA}")
-    backend = get_backend(record["backend"])
-    path = Path(record["trace_path"])
+    job = ReplayJob.from_record(record)
     try:
-        data = path.read_bytes()
+        data = Path(job.trace_path).read_bytes()
     except OSError as exc:
         raise TraceFormatError(f"trace file unreadable: {exc}") from exc
     events = parse_trace(data)
     actual = digest_of(events)
-    if actual != record["trace"]:
+    if actual != job.trace:
         raise TraceFormatError(
-            f"stored trace digest mismatch: expected {record['trace'][:12]} "
+            f"stored trace digest mismatch: expected {job.trace[:12]} "
             f"got {actual[:12]} (corrupted store entry)")
-    program = record.get("program")
-    import json
-    program_record = json.loads(program) if program is not None else None
-    return verdict_record(record["trace"], backend, events, program_record)
+    return verdict_record(job.trace, get_backend(job.backend), events,
+                          job.program_record())

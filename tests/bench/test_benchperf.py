@@ -1,9 +1,10 @@
-"""bench-perf: perf job kind, record validation, and the canonical BENCH file."""
+"""bench-perf: perf cells, record validation, and the canonical BENCH file."""
 
 import json
 
 import pytest
 
+from repro.campaign.jobs import JobSpecError
 from repro.harness.benchperf import (
     BENCH_FILENAME,
     BENCH_NAME,
@@ -11,7 +12,7 @@ from repro.harness.benchperf import (
     PerfJob,
     PerfSpecError,
     bench_path,
-    execute_perf_record,
+    measure,
     render_summary,
     repo_root,
     validate_bench_file,
@@ -42,38 +43,27 @@ class TestPerfJob:
     def test_schema_mismatch_rejected(self):
         record = PerfJob("fuzz").record()
         record["schema"] = PERF_SCHEMA + 1
-        with pytest.raises(PerfSpecError, match="schema"):
+        with pytest.raises(JobSpecError, match="schema"):
             PerfJob.from_record(record)
-
-    def test_registered_as_campaign_job_kind(self):
-        from repro.campaign.jobs import JOB_EXECUTORS, execute_record
-        assert JOB_EXECUTORS["perf"] \
-            == "repro.harness.benchperf:execute_perf_record"
-        out = execute_record(
-            PerfJob("simulate", bench="SCAN", scale=0.1).record())
-        assert out["metric"] == "simulate"
 
 
 class TestExecution:
     def test_simulate_measures_events_per_sec(self):
-        out = execute_perf_record(
-            PerfJob("simulate", bench="SCAN", scale=0.1).record())
+        out = measure(PerfJob("simulate", bench="SCAN", scale=0.1))
         assert out["events"] > 0
         assert out["rate"] > 0
         assert out["unit"] == "events/s"
         assert out["job"]["metric"] == "simulate"
 
     def test_replay_measures_backend_rate(self):
-        out = execute_perf_record(
-            PerfJob("replay", bench="SCAN", scale=0.1,
-                    backend="haccrg-word").record())
+        out = measure(PerfJob("replay", bench="SCAN", scale=0.1,
+                              backend="haccrg-word"))
         assert out["backend"] == "haccrg-word"
         assert out["rate"] > 0
 
     def test_repeats_keep_the_best_attempt(self):
-        out = execute_perf_record(
-            PerfJob("simulate", bench="SCAN", scale=0.1,
-                    repeats=2).record())
+        out = measure(PerfJob("simulate", bench="SCAN", scale=0.1,
+                              repeats=2))
         assert out["elapsed"] > 0
 
 

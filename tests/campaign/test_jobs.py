@@ -106,6 +106,43 @@ class TestRoundTrip:
                              seed=3).key() == (
             "6e6528ce1efe38d4d7a3c32f9c71d3ff9905073a64cbe9cd310c4b31cc4bdd70")
 
+    @pytest.mark.parametrize("kind,key", [
+        ("fuzz", "fc9824dcf9a7066bab4ac544018c1467"
+                 "ad75b3ac6f18a7c89af56db2236f5ee8"),
+        ("analyze", "4c7744d448e49af9fa049695e33ce5d4"
+                    "31f16cfe201e7ea5352690ba1df01ccc"),
+        ("mganalyze", "04a841d9a7463493fee22f6437dccf54"
+                      "d19a92c3e24d1ca0acaba139a2020c0c"),
+        ("multigpu", "66039a4817cb7c48b334d87409feaa86"
+                     "8fe2816be422c823dcdc5d7ff9a4d0ba"),
+        ("replay", "33dcc190d068b836f7191d230509d705"
+                   "f520010486857d84ea214c0d2cc0d7ed"),
+    ])
+    def test_pinned_keys_per_kind(self, kind, key):
+        """Every kind's key addresses stored results (replay: verdicts)."""
+        from repro.analyze.mgworker import MGAnalyzeJob
+        from repro.analyze.worker import AnalyzeJob
+        from repro.fuzz.worker import FuzzJob
+        from repro.multigpu.runner import MGJob
+        from repro.serve.worker import ReplayJob
+
+        job = {
+            "fuzz": lambda: FuzzJob(seed=7, index=3, modes=("haccrg",),
+                                    static_prefilter=True),
+            "analyze": lambda: AnalyzeJob(source="bench", bench="SCAN",
+                                          omit=("fence",), validate=False),
+            "mganalyze": lambda: MGAnalyzeJob(source="mgfuzz", seed=5,
+                                              gpus=3, scale=0.5,
+                                              validate=False),
+            "multigpu": lambda: MGJob("MG_RING", gpus=2, scale=0.25,
+                                      injection="x", detect=False),
+            "replay": lambda: ReplayJob(trace="ab" * 32,
+                                        backend="haccrg-word",
+                                        trace_path="x.hart"),
+        }[kind]()
+        assert job.record()["kind"] == kind
+        assert job.key() == key
+
     def test_schema_mismatch_rejected(self):
         record = Job.from_call("SCAN").record()
         record["schema"] = 999

@@ -102,3 +102,30 @@ class TestParallel:
         assert outcomes[job.key()].status == TIMEOUT
         assert outcomes[job.key()].attempts == 2
         assert dispatches == [1, 2]
+
+
+class _Malformed:
+    """A job whose record fails ``FuzzJob.from_record`` in the worker."""
+
+    def record(self):
+        return {"schema": 1, "kind": "fuzz"}
+
+
+class TestInputErrorsAreNotRetried:
+    def _check(self, pool):
+        dispatches = []
+        outcomes = pool.run(
+            {"bad": _Malformed()},
+            on_dispatch=lambda key, wid, attempt: dispatches.append(attempt))
+        out = outcomes["bad"]
+        assert out.status == ERROR
+        assert out.attempts == 1 and dispatches == [1]
+        assert out.error.startswith("JobSpecError:")
+        assert pool.stats["retries"] == 0
+
+    def test_in_process(self):
+        self._check(WorkerPool(workers=1, retries=2))
+
+    @pytest.mark.slow
+    def test_worker_processes(self):
+        self._check(WorkerPool(workers=2, retries=2))

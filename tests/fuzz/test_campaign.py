@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign.jobs import (JOB_EXECUTORS, Job, JobSpecError,
-                                 execute_record, register_executor)
+                                 execute_record)
 from repro.fuzz.corpus import CorpusStore, corpus_digest
 from repro.fuzz.generator import GeneratorParams
 from repro.fuzz.worker import FuzzJob, run_fuzz_campaign
@@ -52,10 +52,6 @@ class TestExecutorRegistry:
     def test_unknown_kind_rejected(self):
         with pytest.raises(JobSpecError):
             execute_record({"schema": 1, "kind": "nope"})
-
-    def test_register_validates_target(self):
-        with pytest.raises(JobSpecError):
-            register_executor("bad", "no_colon_here")
 
 
 class TestCampaignDeterminism:

@@ -80,6 +80,17 @@ class TestInlinePool:
         finally:
             pool.stop()
 
+    def test_input_error_is_not_retried(self):
+        pool = self._pool(retries=2)
+        try:
+            out = pool.submit("k1", {"schema": 1, "kind": "fuzz"},
+                              "00").result(30)
+            assert out.status == ERROR and out.attempts == 1
+            assert out.error.startswith("JobSpecError:")
+            assert pool.stats["retries"] == 0
+        finally:
+            pool.stop()
+
     def test_submit_after_stop_raises(self):
         pool = ShardedWorkerPool(workers=1)
         pool.start()
@@ -116,6 +127,18 @@ class TestProcessPool:
                               "00").result(60)
             assert out.status == TIMEOUT
             assert "timed out" in out.error
+        finally:
+            pool.stop()
+
+    def test_input_error_is_not_retried(self):
+        pool = ShardedWorkerPool(workers=1, retries=2, timeout=60.0)
+        pool.start()
+        try:
+            out = pool.submit("k1", {"schema": 1, "kind": "fuzz"},
+                              "00").result(60)
+            assert out.status == ERROR and out.attempts == 1
+            assert out.error.startswith("JobSpecError:")
+            assert pool.stats["retries"] == 0
         finally:
             pool.stop()
 

@@ -134,8 +134,10 @@ class TestErrors:
         assert exc_info.value.status == 400
         assert exc_info.value.payload["error"] == "program-required"
 
-    @pytest.mark.parametrize("program", [{}, {"schema": 3},
-                                         {"blocks": 1, "threads": "x"}])
+    @pytest.mark.parametrize("program", [
+        {}, {"schema": 3}, {"blocks": 1, "threads": "x"},
+        {"blocks": 1, "threads": 32, "global_words": 32, "shared_words": 0,
+         "byte_bytes": 0, "num_locks": 0, "stmts": [{"op": "bogus"}]}])
     def test_malformed_program_400_at_admission(self, server, client,
                                                 trace_bytes, program):
         receipt = client.upload(trace_bytes)
